@@ -1,7 +1,7 @@
 """Benchmarks: extension ablations (deployment methods, metrics, tolerance).
 
-Not paper figures — these regenerate the design-choice studies DESIGN.md
-§5 calls out, quantifying (a) the Method-1 vs Method-2 deployment gap,
+Not paper figures — these regenerate the reproduction's design-choice
+studies, quantifying (a) the Method-1 vs Method-2 deployment gap,
 (b) metric-dependent optimal-design shifts, and (c) the epsilon-cheapest
 oracle rule's cost/stability trade-off.
 """

@@ -27,7 +27,7 @@ def test_fig9_uov_vs_classification(benchmark, scale, workspace):
     assert results["v2_uov"]["head_params"] < \
         results["v2_classification"]["head_params"]
 
-    # Accuracy claim (see EXPERIMENTS.md): at reproduction scale the big
+    # Accuracy claim: at reproduction scale the big
     # classification heads retain a small edge in exact-match accuracy, so
     # we assert UOV stays *competitive* while being far smaller:
     # (a) v2's UOV heads within a few points of its classification heads;

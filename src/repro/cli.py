@@ -16,9 +16,9 @@ Examples::
     python -m repro serve --port 8080 --max-batch-size 64 --max-wait-ms 2 \\
         --oracle-cache .repro_cache/oracle_cache.npz
 
-    # Asyncio front-end with bounded admission (429 + Retry-After),
-    # per-request timeouts (504) and graceful drain on Ctrl-C:
-    python -m repro serve --async --max-queue 256 --request-timeout 30
+    # Bounded admission (429 + Retry-After), per-request timeouts (504);
+    # Ctrl-C or SIGTERM drains gracefully:
+    python -m repro serve --max-queue 256 --request-timeout 30
 
     # Multi-model serving from a model registry (routes by the request's
     # "model" field; streaming bulk sweeps via POST /sweep):
@@ -503,10 +503,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                         help="run /sweep chunks through an autoscaled "
                              "sharded executor with up to this many worker "
                              "processes (default: in-process)")
-    parser.add_argument("--async", dest="use_async", action="store_true",
-                        help="serve through the asyncio front-end (bounded "
-                             "admission, graceful drain) instead of the "
-                             "thread-per-connection server")
     parser.add_argument("--max-queue", type=int, default=None,
                         help="bounded per-route admission queue: above this "
                              "many in-flight requests a route answers HTTP "
@@ -579,30 +575,25 @@ def serve_main(argv: list[str] | None = None) -> int:
                   shard_timeout_s=args.shard_timeout,
                   log_requests=args.log_requests,
                   trace_file=args.trace_file)
-    server_cls = DSEServer
-    if args.use_async:
-        from .serving import AsyncDSEServer
-        server_cls = AsyncDSEServer
     from .registry import RegistryError
     try:
         if args.registry:
             # Multi-model mode: every (or the --model-id listed) artifact
             # in the registry becomes a servable route.
             model_ids = args.model_id.split(",") if args.model_id else None
-            server = server_cls(registry=args.registry, model_ids=model_ids,
-                                default_model=args.default_model, **common)
+            server = DSEServer(registry=args.registry, model_ids=model_ids,
+                               default_model=args.default_model, **common)
             served = model_ids or [a.model_id
                                    for a in server.registry.list()]
             print(f"serving {len(served)} registry model(s) from "
                   f"{args.registry}: {', '.join(sorted(served))} "
                   f"(default {server.default_model!r})", file=sys.stderr)
         else:
-            server = server_cls(_build_model(args, problem), **common)
+            server = DSEServer(_build_model(args, problem), **common)
     except (RegistryError, ValueError) as exc:
         print(f"repro serve: error: {exc}", file=sys.stderr)
         return 2
     host, port = server.address
-    front_end = "asyncio" if args.use_async else "threaded"
     # Orchestrators stop containers with SIGTERM; route it through the
     # same graceful-drain path as Ctrl-C so in-flight requests finish
     # and the oracle cache still snapshots.  Installed before the ready
@@ -615,10 +606,13 @@ def serve_main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError):       # non-main thread / odd platform
         pass
     try:
-        # The ready banner lives inside the drain guard: a SIGTERM sent
-        # the instant it appears must still take the graceful path.
+        # Routes and the accept loop start before the ready banner, and
+        # the banner lives inside the drain guard: a SIGTERM sent the
+        # instant it appears lands in serve_forever's wait and takes the
+        # graceful path.
+        server.start()
         print(f"serving one-shot DSE predictions on http://{host}:{port} "
-              f"({front_end} front-end, max_batch_size={args.max_batch_size}, "
+              f"(max_batch_size={args.max_batch_size}, "
               f"max_wait_ms={args.max_wait_ms:g}); Ctrl-C to stop",
               file=sys.stderr)
         server.serve_forever()

@@ -43,8 +43,8 @@ class ModelConfig:
     """Hyper-parameters of the AIRCHITECT v2 model.
 
     Defaults are the reproduction's scaled-down shape (the paper trains a
-    GPU-scale model; orderings between techniques are preserved — see
-    DESIGN.md §2).
+    GPU-scale model; the benchmarks check that orderings between
+    techniques are preserved).
     """
 
     d_model: int = 32

@@ -3,8 +3,8 @@
 The paper labels its dataset by running ConfuciuX (RL + GA search) per
 sample.  Because the Table-I output space has only 64 x 12 = 768 points and
 our cost model is vectorised, the *exact* optimum is cheaper to compute
-than an RL approximation — so dataset labels here come from brute force
-(see DESIGN.md §2 for the substitution note).  ConfuciuX itself is
+than an RL approximation — so dataset labels here come from brute force.
+ConfuciuX itself is
 implemented in :mod:`repro.search.confuciux` and validated against this
 oracle.
 

@@ -1,6 +1,6 @@
 """``repro.experiments`` — one runner per table/figure of §IV.
 
-See DESIGN.md §4 for the experiment index.  Every runner accepts a scale
+``python -m repro --help`` lists the runners.  Every runner accepts a scale
 ('tiny' | 'small' | 'full' or an :class:`ExperimentScale`) and an optional
 :class:`Workspace` cache.
 """

@@ -8,9 +8,8 @@ Three studies the paper's design choices imply but do not plot:
 * :func:`run_metric_ablation` — the DSE formulation is metric-agnostic
   (§III-A fixes latency as the reward); re-labelling with energy / EDP
   shifts the optimal-design distribution toward smaller configurations.
-* :func:`run_tolerance_ablation` — the oracle's epsilon-cheapest rule (see
-  DESIGN.md §5): label stability and resource savings as the tolerance
-  grows.
+* :func:`run_tolerance_ablation` — the oracle's epsilon-cheapest rule:
+  label stability and resource savings as the tolerance grows.
 """
 
 from __future__ import annotations

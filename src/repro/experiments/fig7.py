@@ -15,10 +15,10 @@ the exhaustive deployment oracle is the attainable lower bound.
 
 Paper shape to reproduce: v2 never loses to a baseline, VAESA+BO is the
 closest baseline, and the mean baseline-to-v2 ratio is > 1 (the paper
-reports ~1.7x at GPU scale).  An honest reproduction note (see
-EXPERIMENTS.md): Method-1 folding is remarkably robust — evaluating every
-candidate with the true cost model rescues even mediocre predictors — so
-the folded spread is much tighter than the per-layer spread.
+reports ~1.7x at GPU scale).  An honest reproduction note: Method-1
+folding is remarkably robust — evaluating every candidate with the true
+cost model rescues even mediocre predictors — so the folded spread is
+much tighter than the per-layer spread.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Re-derives (for GEMM) the data-reuse/traffic analysis that MAESTRO [19]
 performs for the three canonical dataflows of Table I, producing latency,
-energy and utilisation estimates for any (PEs, L2 buffer) design point.
-See DESIGN.md for the substitution rationale.
+energy and utilisation estimates for any (PEs, L2 buffer) design point,
+in place of the MAESTRO tool itself.
 """
 
 from .accelerator import AcceleratorConfig, Technology

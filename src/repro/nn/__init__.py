@@ -3,7 +3,7 @@
 Implements everything the AIRCHITECT v2 reproduction needs from a DL
 framework: an autograd :class:`Tensor`, transformer layers, losses
 (including the paper's InfoNCE and Unification losses), optimisers and data
-pipelines.  See DESIGN.md §2 for why this substitutes for PyTorch.
+pipelines, so the reproduction runs on numpy alone instead of PyTorch.
 """
 
 from . import functional, fused, graph, init

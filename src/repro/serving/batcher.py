@@ -171,10 +171,13 @@ class DynamicBatcher:
 
     def start(self) -> "DynamicBatcher":
         if self._thread is None:
-            self._thread = threading.Thread(target=self._serve_loop,
-                                            name="dse-dynamic-batcher",
-                                            daemon=True)
-            self._thread.start()
+            thread = threading.Thread(target=self._serve_loop,
+                                      name="dse-dynamic-batcher",
+                                      daemon=True)
+            thread.start()
+            # Published only once started: an interrupt inside start()
+            # must not leave stop() a handle it cannot join.
+            self._thread = thread
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
@@ -190,7 +193,11 @@ class DynamicBatcher:
         thread = self._thread
         if thread is None:
             return
-        thread.join(timeout)
+        try:
+            thread.join(timeout)
+        except RuntimeError:    # never started: nothing to join
+            self._thread = None
+            return
         if thread.is_alive():
             raise TimeoutError(
                 f"batcher worker still draining after {timeout:g}s; "

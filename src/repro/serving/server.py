@@ -6,6 +6,13 @@ connection (:class:`ThreadingHTTPServer`); concurrency is harvested by
 the per-model :class:`~repro.serving.DynamicBatcher` queues behind it,
 which coalesce the per-connection requests into engine micro-batches.
 
+Every non-streaming response leaves the server as one write of head and
+body, and accepted sockets run with ``TCP_NODELAY``.  A head written on
+its own makes the body wait for the client's delayed ACK (about 40 ms
+on Linux), which capped ``/predict`` at ~40 req/s on two keep-alive
+connections; the NDJSON chunks of ``/sweep`` never wait on an ACK
+either.
+
 The server hosts a :class:`~repro.registry.ModelRegistry` rather than a
 single model: every served model is a :class:`ModelRoute` (its own
 engine, batcher queue and :class:`~repro.serving.ServingStats`), created
@@ -66,6 +73,13 @@ failures the route answers ``503`` with a ``Retry-After`` header until a
 half-open probe succeeds.  Client errors (400/404/429) are neutral —
 they can neither trip nor heal a breaker.  ``repro_breaker_state``
 (0=closed, 1=half-open, 2=open) is scrapeable per model.
+
+Tail-latency controls: a full per-route admission queue (``max_queue``)
+answers ``429`` with ``Retry-After``, a request slower than
+``request_timeout_s`` answers ``504``, and :meth:`DSEServer.shutdown`
+drains gracefully — it stops accepting, lets in-flight requests finish,
+and answers any request that still arrives on a kept-alive connection
+with ``503`` + ``Connection: close``.
 """
 
 from __future__ import annotations
@@ -99,6 +113,8 @@ _MAX_BODY_BYTES = 8 << 20
 _MAX_WORKLOADS_PER_REQUEST = 65536
 _MAX_SWEEP_ROWS = 1 << 20
 _MAX_SWEEP_CHUNK = 65536
+#: How long ``shutdown()`` waits for in-flight requests to finish.
+_DRAIN_TIMEOUT_S = 10.0
 
 
 class _BadRequest(ValueError):
@@ -318,17 +334,20 @@ class ModelRoute:
 class _ServingHandler(BaseHTTPRequestHandler):
     server: "_ServingHTTPServer"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a response part written after
+    # unacknowledged bytes (an NDJSON chunk, the chunked terminator) must
+    # not wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:
         if self.server.dse.log_requests:  # pragma: no cover - verbose mode
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, doc: dict,
-                   extra_headers=()) -> None:
-        body = json.dumps(doc).encode()
+    def _send(self, status: int, body: bytes, content_type: str,
+              extra_headers=()) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (*getattr(self, "_trace_headers", ()),
                             *extra_headers):
@@ -339,15 +358,57 @@ class _ServingHandler(BaseHTTPRequestHandler):
             # request on this connection, so close it instead.
             self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":      # no head to send
+            self.wfile.write(body)
+            return
+        # Head and body leave in one write (see the module docstring).
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
+
+    def _send_json(self, status: int, doc: dict,
+                   extra_headers=()) -> None:
+        self._send(status, json.dumps(doc).encode(), "application/json",
+                   extra_headers)
 
     def _unknown_route(self) -> None:
         self._send_json(404, {"error": f"unknown route "
                                        f"{self.command} {self.path!r}"})
 
+    def _serve(self, handler) -> None:
+        """Run one request's ``handler`` unless the server is draining."""
+        dse = self.server.dse
+        if not dse._begin_request():
+            try:
+                length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = 0
+            if 0 < length <= _MAX_BODY_BYTES:
+                # Closing a socket with unread bytes resets it, and the
+                # client would lose the 503.
+                self.rfile.read(length)
+            self._send_json(503, {"error": "server is draining; "
+                                           "request rejected"})
+            return
+        try:
+            handler()
+        finally:
+            dse._end_request()
+
     # ------------------------------------------------------------------
     def do_GET(self) -> None:
+        self._serve(self._get)
+
+    def do_POST(self) -> None:
+        self._serve(self._post)
+
+    def do_PUT(self) -> None:
+        self._unknown_route()   # 404s close the connection, so the unread
+                                # body can never desync a next request
+
+    def do_DELETE(self) -> None:
+        self._unknown_route()
+
+    def _get(self) -> None:
         dse = self.server.dse
         if self.path == "/healthz":
             self._send_json(200, {"status": "ok",
@@ -357,21 +418,10 @@ class _ServingHandler(BaseHTTPRequestHandler):
         elif self.path == "/models":
             self._send_json(200, dse.models_snapshot())
         elif self.path == "/metrics":
-            body = dse.metrics_text().encode()
-            self.send_response(200)
-            self.send_header("Content-Type", _METRICS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, dse.metrics_text().encode(),
+                       _METRICS_CONTENT_TYPE)
         else:
             self._unknown_route()
-
-    def do_PUT(self) -> None:
-        self._unknown_route()   # 404s close the connection, so the unread
-                                # body can never desync a next request
-
-    def do_DELETE(self) -> None:
-        self._unknown_route()
 
     def _read_body(self, max_bytes: int = _MAX_BODY_BYTES):
         try:
@@ -386,7 +436,7 @@ class _ServingHandler(BaseHTTPRequestHandler):
         except json.JSONDecodeError as exc:
             raise _BadRequest(f"invalid JSON: {exc}") from None
 
-    def do_POST(self) -> None:
+    def _post(self) -> None:
         dse = self.server.dse
         if self.path not in ("/predict", "/sweep"):
             self._unknown_route()
@@ -621,6 +671,11 @@ class DSEServer:
         self.routes: dict[str, ModelRoute] = {}
         self._route_lock = threading.RLock()
         self._running = False
+        # Drain state: requests being handled, and whether shutdown() has
+        # begun (requests arriving after that answer 503).
+        self._active_requests = 0
+        self._draining = False
+        self._idle = threading.Condition()
 
         if model is not None:
             name = default_model or "default"
@@ -635,10 +690,6 @@ class DSEServer:
             else:
                 raise ValueError("registry has no servable artifacts and no "
                                  "default_model was given")
-        self._make_transport(host, port)
-
-    def _make_transport(self, host: str, port: int) -> None:
-        """Bind the HTTP transport (overridden by the asyncio server)."""
         self._httpd = _ServingHTTPServer((host, port), self)
         self._thread: threading.Thread | None = None
 
@@ -787,9 +838,7 @@ class DSEServer:
     # Telemetry
     # ------------------------------------------------------------------
     def metrics_text(self) -> str:
-        """The Prometheus exposition document both transports serve at
-        ``GET /metrics`` (one registry, so the transports are in parity
-        by construction)."""
+        """The Prometheus exposition document served at ``GET /metrics``."""
         return self.metrics.render()
 
     def begin_request_span(self, name: str, header_trace_id: str | None):
@@ -1071,29 +1120,60 @@ class DSEServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "DSEServer":
-        """Serve in a background thread (tests / embedded use)."""
+        """Start the routes, then accept connections on a background
+        thread.  Idempotent."""
         with self._route_lock:
             self._running = True
             for route in self.routes.values():
                 route.start()
         if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="dse-http-server", daemon=True)
-            self._thread.start()
+            thread = threading.Thread(target=self._httpd.serve_forever,
+                                      name="dse-http-server", daemon=True)
+            thread.start()
+            self._thread = thread
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (the CLI path)."""
-        with self._route_lock:
-            self._running = True
-            for route in self.routes.values():
-                route.start()
-        self._httpd.serve_forever()
+        """:meth:`start`, then block until :meth:`shutdown` (the CLI path).
+
+        The accept loop always runs on the background thread, so an
+        interrupt on the calling thread (Ctrl-C, SIGTERM) lands in this
+        wait, never inside the loop's own bookkeeping.  The wait sleeps
+        rather than joins: a ``KeyboardInterrupt`` inside ``join()`` can
+        leave CPython believing a running thread has stopped.
+        """
+        self.start()
+        thread = self._thread
+        while thread.is_alive():
+            time.sleep(0.2)
+
+    def _begin_request(self) -> bool:
+        """Count a request in; ``False`` once shutdown has begun."""
+        with self._idle:
+            if self._draining:
+                return False
+            self._active_requests += 1
+            return True
+
+    def _end_request(self) -> None:
+        with self._idle:
+            self._active_requests -= 1
+            self._idle.notify_all()
 
     def shutdown(self) -> None:
+        """Drain gracefully, then stop the routes.  Idempotent.
+
+        Stops accepting connections and waits up to ``_DRAIN_TIMEOUT_S``
+        for in-flight requests; a request arriving meanwhile on a
+        kept-alive connection answers 503 + ``Connection: close``.
+        """
+        with self._idle:
+            self._draining = True
         self._httpd.shutdown()
         self._httpd.server_close()
+        with self._idle:
+            self._idle.wait_for(lambda: self._active_requests == 0,
+                                _DRAIN_TIMEOUT_S)
         if self._thread is not None:
             self._thread.join(10.0)
             self._thread = None

@@ -2,7 +2,7 @@
 
 These validate the *structure* each experiment must produce (keys, shapes,
 invariants that hold at any scale).  Quantitative orderings are asserted at
-the 'small' benchmark scale in EXPERIMENTS.md, not here — tiny-scale
+the 'small' scale by ``benchmarks/``, not here — tiny-scale
 training is too noisy for strict ordering assertions.
 """
 

@@ -122,7 +122,7 @@ class TestServeCommand:
         assert err.value.code == 0
         out = capsys.readouterr().out
         assert "/predict" in out
-        assert "--async" in out
+        assert "--async" not in out
         assert "--max-queue" in out
         assert "--request-timeout" in out
 
