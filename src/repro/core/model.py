@@ -229,7 +229,9 @@ class AirchitectV2(nn.Module):
         with nn.no_grad():
             for start in range(0, len(inputs), batch_size):
                 chunk = inputs[start:start + batch_size]
-                _, _, (pe_logits, l2_logits) = self.forward(chunk)
+                # Encoder -> decoder only: the perf head's output is not
+                # part of a prediction, so it is not computed.
+                pe_logits, l2_logits = self.decoder(self.embed(chunk))
                 sl = slice(start, start + len(chunk))
                 pe_out[sl], l2_out[sl] = self.decode_logits(pe_logits, l2_logits)
         return pe_out, l2_out

@@ -23,7 +23,19 @@ The fused kernels are **bit-identical** to the compositions they replace
 * every chain fused here has a single tensor input, so it occupies a
   contiguous run of the backward DFS post-order; collapsing it cannot
   reorder any other node's firing slot (``scaled_matmul`` keeps the
-  composed matmul's parent tuple for the same reason).
+  composed matmul's parent tuple for the same reason);
+* an N-D operand times a 2-D one is ONE flat 2-D GEMM, forward and
+  backward, everywhere it runs — ``linear`` here, the composed
+  ``Tensor.__matmul__`` and the graph lowerings all call
+  :func:`~repro.nn.tensor.flat_matmul` and
+  :func:`~repro.nn.tensor.flat_matmul_grads`, so the weight gradient is
+  ``x2.T @ g2`` on all three paths (changing that rule changes the
+  weight-gradient summation order, so it lives in one place);
+* when no backward will be recorded (``no_grad``, or no input requires
+  grad), ``gelu`` and ``layer_norm`` take a no-grad path: the same
+  expressions in the same order, written with ``out=`` into one owned
+  buffer (layer norm needs a second for the squares), and no closure or
+  saved arrays.  The forward bits are those of the grad path.
 
 The module-level switch (:func:`fused_enabled` / :func:`fused_kernels`)
 drops the whole stack — kernels, flat-arena optimisers, DataLoader fast
@@ -38,7 +50,8 @@ import math
 import numpy as np
 
 from .switches import Switch
-from .tensor import Tensor, _unbroadcast
+from .tensor import (Tensor, _unbroadcast, flat_matmul, flat_matmul_grads,
+                     is_grad_enabled)
 
 __all__ = ["fused_enabled", "fused_kernels", "linear", "gelu", "layer_norm",
            "softmax", "log_softmax", "normalize", "matmul", "scaled_matmul",
@@ -67,26 +80,36 @@ def fused_kernels(enabled: bool = True):
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
-    """``x @ W + b`` as one node (composed: matmul + broadcast add)."""
+    """``x @ W + b`` as one node (composed: matmul + broadcast add).
+
+    The product is one flat 2-D GEMM over all leading axes, forward and
+    backward (:func:`~repro.nn.tensor.flat_matmul` and
+    :func:`~repro.nn.tensor.flat_matmul_grads`, which the composed matmul
+    also runs).
+    """
     xd, wd = x.data, weight.data
-    out = xd @ wd
+    out = flat_matmul(xd, wd)
     if bias is not None:
         np.add(out, bias.data, out=out)
 
     def backward(grad: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
             bias._accumulate_owned(_unbroadcast(grad, bias.data.shape))
-        if x.requires_grad:
-            # grad @ W.T already has x's shape; the composed op's
-            # _unbroadcast call was an identity here.
-            x._accumulate_owned(grad @ np.swapaxes(wd, -1, -2))
-        if weight.requires_grad:
-            g = grad if grad.ndim > 1 else np.expand_dims(grad, -1)
-            weight._accumulate_owned(_unbroadcast(np.swapaxes(xd, -1, -2) @ g,
-                                                  wd.shape))
+        gx, gw = flat_matmul_grads(xd, wd, grad, x.requires_grad,
+                                   weight.requires_grad)
+        if gx is not None:
+            x._accumulate_owned(gx)
+        if gw is not None:
+            weight._accumulate_owned(gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out, parents, backward, "fused.linear")
+
+
+def _records(*inputs: Tensor) -> bool:
+    """Whether ``Tensor._make`` will record a backward for this op — when
+    it will not, a kernel can skip everything only backward reads."""
+    return is_grad_enabled() and any(t.requires_grad for t in inputs)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -95,6 +118,18 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximation GELU as one node (composed: 9 elementwise nodes)."""
     xd = x.data
+    if not _records(x):
+        # Same expressions, same order, in one owned buffer.
+        out = np.multiply(xd, xd)
+        np.multiply(out, xd, out=out)
+        np.multiply(out, 0.044715, out=out)
+        np.add(xd, out, out=out)
+        np.multiply(out, _GELU_C, out=out)
+        np.tanh(out, out=out)
+        np.add(out, 1.0, out=out)
+        np.multiply(xd, out, out=out)
+        np.multiply(out, 0.5, out=out)
+        return Tensor._make(out, (x,), None, "fused.gelu")
     x2 = xd * xd
     t = np.tanh((xd + (x2 * xd) * 0.044715) * _GELU_C)
     tp = t + 1.0
@@ -128,6 +163,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     xd, gd = x.data, gamma.data
     inv = 1.0 / xd.shape[-1]
     mean = xd.sum(axis=-1, keepdims=True) * inv
+    if not _records(x, gamma, beta):
+        # Same expressions, same order: centred, normed and the output
+        # share one owned buffer; only the squares need a second one.
+        out = np.subtract(xd, mean)
+        sq = out * out
+        var = sq.sum(axis=-1, keepdims=True) * inv
+        sd = np.sqrt(var + eps)
+        np.divide(out, sd, out=out)
+        np.multiply(out, gd, out=out)
+        np.add(out, beta.data, out=out)
+        return Tensor._make(out, (x, gamma, beta), None, "fused.layer_norm",
+                            {"eps": eps})
     centred = xd - mean
     sq = centred * centred
     var = sq.sum(axis=-1, keepdims=True) * inv

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from ..tensor import _unbroadcast
+from ..tensor import _unbroadcast, flat_matmul, flat_matmul_grads
 from .ir import CaptureError, InputRef
 
 __all__ = ["OPS", "OpDef"]
@@ -211,6 +211,8 @@ def _matmul(n, cx):
     i = n.idx
     a, b = n.parents
     sa, sb = cx.shape(a), cx.shape(b)
+    if len(sa) >= 2 and len(sb) == 2:
+        return _flat_matmul_lowering(n, cx)
     ka, kb = cx.sink(a), cx.sink(b)
 
     def fwd(st):
@@ -239,6 +241,30 @@ def _matmul(n, cx):
                           if gb.ndim > 1 else gb)
             kb(st, _unbroadcast(gb, sb))
     return fwd, bwd
+
+
+def _flat_matmul_lowering(n, cx):
+    """The (..., k) @ (k, n) case of ``matmul``: one flat 2-D GEMM, as in
+    :func:`~repro.nn.tensor.flat_matmul`."""
+    i = n.idx
+    a, b = n.parents
+    ka, kb = cx.sink(a), cx.sink(b)
+
+    def fwd(st):
+        st.vals[i] = flat_matmul(st.vals[a], st.vals[b])
+
+    def bwd(st, grad):
+        _flat_matmul_grads(st, grad, st.vals[a], st.vals[b], ka, kb)
+    return fwd, bwd
+
+
+def _flat_matmul_grads(st, grad, xd, wd, kx, kw):
+    """Route the gradients of ``flat_matmul(xd, wd)`` into the sinks."""
+    gx, gw = flat_matmul_grads(xd, wd, grad, kx is not None, kw is not None)
+    if gx is not None:
+        kx(st, gx)
+    if gw is not None:
+        kw(st, gw)
 
 
 # ----------------------------------------------------------------------
@@ -620,37 +646,36 @@ def _fused_linear(n, cx):
     else:
         x, w = n.parents
         kb = None
-    sw = cx.shape(w)
     kx, kw = cx.sink(x), cx.sink(w)
     buf = cx.buf(i)
     if buf is None:
         if has_bias:
             def fwd(st):
-                out = st.vals[x] @ st.vals[w]
+                out = flat_matmul(st.vals[x], st.vals[w])
                 np.add(out, st.vals[b], out=out)
                 st.vals[i] = out
         else:
             def fwd(st):
-                st.vals[i] = st.vals[x] @ st.vals[w]
+                st.vals[i] = flat_matmul(st.vals[x], st.vals[w])
     else:
+        # The arena buffer is C-contiguous, so its 2-D reshape is a view.
+        buf2 = buf.reshape(-1, buf.shape[-1])
         if has_bias:
             def fwd(st):
-                np.matmul(st.vals[x], st.vals[w], out=buf)
+                xd = st.vals[x]
+                np.matmul(xd.reshape(-1, xd.shape[-1]), st.vals[w], out=buf2)
                 np.add(buf, st.vals[b], out=buf)
                 st.vals[i] = buf
         else:
             def fwd(st):
-                st.vals[i] = np.matmul(st.vals[x], st.vals[w], out=buf)
+                xd = st.vals[x]
+                np.matmul(xd.reshape(-1, xd.shape[-1]), st.vals[w], out=buf2)
+                st.vals[i] = buf
 
     def bwd(st, grad):
-        wd = st.vals[w]
         if kb is not None:
             kb(st, _unbroadcast(grad, sb))
-        if kx is not None:
-            kx(st, grad @ np.swapaxes(wd, -1, -2))
-        if kw is not None:
-            g = grad if grad.ndim > 1 else np.expand_dims(grad, -1)
-            kw(st, _unbroadcast(np.swapaxes(st.vals[x], -1, -2) @ g, sw))
+        _flat_matmul_grads(st, grad, st.vals[x], st.vals[w], kx, kw)
     return fwd, bwd
 
 

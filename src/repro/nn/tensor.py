@@ -368,10 +368,12 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out_data = self.data @ other.data
+        a, b = self.data, other.data
+        if a.ndim >= 2 and b.ndim == 2:
+            return _linear_matmul(self, other)
+        out_data = a @ b
 
         def backward(grad: np.ndarray) -> None:
-            a, b = self.data, other.data
             if self.requires_grad:
                 if b.ndim == 1:
                     # (..., n) @ (n,) -> (...,): grad_a = grad[..., None] * b
@@ -614,6 +616,48 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward, "squeeze",
                             {"axis": axis})
+
+
+def flat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for ``a`` of shape (..., k) and 2-D ``b``, as ONE 2-D GEMM.
+
+    numpy runs a stacked ``(B, s, k) @ (k, n)`` as B separate s x k
+    products; flattening the leading axes hands BLAS a single
+    (B*s, k) x (k, n) product instead.  Every matmul of an N-D operand
+    by a 2-D one goes through here — the op-by-op reference, the fused
+    ``linear`` kernel and the graph lowerings — so all three stay
+    bit-identical by construction (backward: :func:`flat_matmul_grads`).
+    """
+    out = a.reshape(-1, a.shape[-1]) @ b
+    return out.reshape(a.shape[:-1] + (b.shape[-1],))
+
+
+def flat_matmul_grads(a: np.ndarray, b: np.ndarray, grad: np.ndarray,
+                      need_a: bool, need_b: bool):
+    """The gradients of :func:`flat_matmul` w.r.t. ``a`` and ``b`` (None
+    where not needed), each one 2-D GEMM over ``g2 = grad.reshape(-1, n)``:
+    ``g2 @ b.T`` and ``a2.T @ g2``.  The stacked form built ``b``'s as a
+    (B, k, n) array of per-row products and then summed it over B."""
+    g2 = grad.reshape(-1, grad.shape[-1])
+    ga = (g2 @ b.T).reshape(a.shape) if need_a else None
+    gb = a.reshape(-1, a.shape[-1]).T @ g2 if need_b else None
+    return ga, gb
+
+
+def _linear_matmul(x: Tensor, w: Tensor) -> Tensor:
+    """The (..., k) @ (k, n) case of ``Tensor.__matmul__`` (see
+    :func:`flat_matmul`)."""
+    xd, wd = x.data, w.data
+
+    def backward(grad: np.ndarray) -> None:
+        gx, gw = flat_matmul_grads(xd, wd, grad, x.requires_grad,
+                                   w.requires_grad)
+        if gx is not None:
+            x._accumulate(gx)
+        if gw is not None:
+            w._accumulate(gw)
+
+    return Tensor._make(flat_matmul(xd, wd), (x, w), backward, "matmul")
 
 
 def as_tensor(value, requires_grad: bool = False) -> Tensor:

@@ -83,6 +83,27 @@ class TestPrediction:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    def test_predict_skips_perf_head_same_predictions(self, problem, rng,
+                                                       inputs, monkeypatch):
+        """The perf head is not part of a prediction, so predict_indices
+        never runs it; the indices equal forward() + decode_logits."""
+        from repro import nn
+        from repro.core.model import PerformanceHead
+
+        model = AirchitectV2(_tiny_config(), problem, rng)
+        model.eval()
+        with nn.no_grad():
+            _, _, (pe_logits, l2_logits) = model(inputs)
+        expected = model.decode_logits(pe_logits, l2_logits)
+
+        def fail(self, embedding):
+            raise AssertionError("perf head ran during predict_indices")
+
+        monkeypatch.setattr(PerformanceHead, "forward", fail)
+        pe, l2 = model.predict_indices(inputs)
+        np.testing.assert_array_equal(pe, expected[0])
+        np.testing.assert_array_equal(l2, expected[1])
+
     def test_predict_batching_consistent(self, problem, rng):
         model = AirchitectV2(_tiny_config(), problem, rng)
         inputs = problem.sample_inputs(30, rng)

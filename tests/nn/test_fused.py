@@ -9,6 +9,9 @@ fused on vs fused off must give identical loss histories and weights.
 
 from __future__ import annotations
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,99 @@ class TestKernels:
         out.backward()
         assert x.grad is None
         assert layer.weight.grad is not None
+
+
+class TestFlatLinear:
+    """``fused.linear`` and the composed ``x @ W + b`` both run one flat
+    2-D GEMM per product, at the ``small`` model's shapes."""
+
+    @pytest.mark.parametrize("rows", [256, 1024])
+    @pytest.mark.parametrize("lead", [(4,), (2, 2)], ids=["3d", "4d"])
+    @pytest.mark.parametrize("dims", [(48, 144), (48, 192), (192, 48)],
+                             ids=lambda d: f"{d[0]}to{d[1]}")
+    def test_linear_matches_reference(self, rows, lead, dims):
+        fan_in, fan_out = dims
+        rng = np.random.default_rng(rows + fan_in)
+        w = rng.normal(size=(fan_in, fan_out))
+        b = rng.normal(size=fan_out)
+        upstream = rng.normal(size=(rows,) + lead + (fan_out,))
+        xr, xf = _pair((rows,) + lead + (fan_in,), fan_out)
+        wr, wf = nn.Tensor(w, requires_grad=True), nn.Tensor(
+            w.copy(), requires_grad=True)
+        br, bf = nn.Tensor(b, requires_grad=True), nn.Tensor(
+            b.copy(), requires_grad=True)
+        with fused.fused_kernels(False):
+            out_r = xr @ wr + br
+        out_f = fused.linear(xf, wf, bf)
+        np.testing.assert_array_equal(out_f.data, out_r.data)
+        out_r.backward(upstream)
+        out_f.backward(upstream)
+        np.testing.assert_array_equal(xf.grad, xr.grad)
+        np.testing.assert_array_equal(wf.grad, wr.grad)
+        np.testing.assert_array_equal(bf.grad, br.grad)
+
+    @pytest.mark.parametrize("fused_mode", [True, False],
+                             ids=["fused", "reference"])
+    def test_backward_builds_no_per_row_weight_grads(self, fused_mode):
+        """The weight gradient is one GEMM: the backward's peak allocation
+        stays below one (batch, in, out) stack of per-row products."""
+        rng = np.random.default_rng(0)
+        x = nn.Tensor(rng.normal(size=(256, 4, 192)), requires_grad=True)
+        upstream = rng.normal(size=(256, 4, 48))
+        with fused.fused_kernels(fused_mode):
+            layer = nn.Linear(192, 48, rng)
+            out = layer(x)
+        per_row_stack = np.dtype(np.float64).itemsize * 256 * 192 * 48
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out.backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert layer.weight.grad.shape == (192, 48)
+        assert peak < per_row_stack, (peak, per_row_stack)
+
+
+class TestNoGradKernels:
+    """With no backward to record, gelu and layer_norm run in place: the
+    forward bits of the grad path, the input untouched, nothing saved."""
+
+    def _inputs(self):
+        # A contiguous input and a strided view of one (both paths see
+        # the same array: a reduction's bits depend on the layout).
+        rng = np.random.default_rng(30)
+        return [rng.normal(size=(256, 4, 48)),
+                rng.normal(size=(48, 4, 64)).transpose(2, 1, 0)]
+
+    def test_gelu(self):
+        for data in self._inputs():
+            grad_out = F.gelu(nn.Tensor(data, requires_grad=True))
+            before = data.copy()
+            # No recording under no_grad, nor when no input requires grad.
+            for ctx in (nn.no_grad, contextlib.nullcontext):
+                with ctx():
+                    x = nn.Tensor(data)
+                    out = F.gelu(x)
+                np.testing.assert_array_equal(out.data, grad_out.data)
+                np.testing.assert_array_equal(x.data, before)
+                assert out._backward is None and out._parents == ()
+
+    def test_layer_norm(self):
+        for data in self._inputs():
+            ln = nn.LayerNorm(data.shape[-1])
+            prng = np.random.default_rng(31)
+            ln.gamma.data += prng.normal(size=ln.gamma.data.shape)
+            ln.beta.data += prng.normal(size=ln.beta.data.shape)
+            grad_out = ln(nn.Tensor(data, requires_grad=True))
+            assert grad_out._backward is not None
+            before = data.copy()
+            with nn.no_grad():
+                x = nn.Tensor(data)
+                out = ln(x)
+            np.testing.assert_array_equal(out.data, grad_out.data)
+            np.testing.assert_array_equal(x.data, before)
+            assert out._backward is None and out._parents == ()
 
 
 class TestEndToEnd:
