@@ -1,5 +1,5 @@
-"""Stage-2 train-step throughput: graph replay vs fused eager vs the
-frozen op-by-op reference, plus the train-phase profiling overhead gate.
+"""Stage-2 train-step throughput: fused eager vs the frozen op-by-op
+reference, plus the train-phase profiling overhead gate.
 
 The acceptance gate of the fused compute path (PR 4): a full stage-2
 decoder fit (default ``ModelConfig``/``Stage2Config``, batch 256, 20
@@ -15,30 +15,12 @@ The telemetry layer (PR 7) adds a second gate: the same fused fit with a
 histograms every batch) must cost <= 3% per median step and keep the loss
 history bit-identical — see ``run_profile_overhead``.
 
-The graph-capture engine (PR 8) adds a third mode: the same fit with
-``repro.nn.graph_capture`` on (the default) — trace the step once,
-compile it into a fused, arena-backed flat schedule, replay every
-subsequent step — again with a bit-identical loss history.  Both paths
-run the same arithmetic (bit-identity forbids reassociation), so what
-replay removes is per-step dispatch and allocation: Tensor/closure
-construction and fresh output arrays.  That win is environment-dependent
-— measured 1.05-1.5x per step on the same hardware depending on
-allocator pressure (fresh-allocation cost balloons under memory load;
-the arena is immune), and ~2x vs the op-by-op reference — so the graph
-gate is direction-only at every scale: replay may never lose to fused
-eager dispatch.  The structural payoff is the IR itself: fusion and
-buffer planning are derived, not hand-maintained, and a second execution
-backend can replace the numpy closures without touching capture.
-
 The win is Python-and-memory overhead, not FLOPs: the fused kernels replay
 the composed chains' exact numpy expressions in one node each, so both
 paths do the same arithmetic; the reference additionally pays ~180 graph
 nodes/closures per step (vs ~50), per-batch copies, per-parameter
 optimiser loops, and a frozen-encoder forward pass every step that the
-fused path computes once per fit.  Graph replay then removes the
-remaining per-step dispatch: no Tensor/closure allocation at all, and
-forward outputs write into a liveness-planned buffer arena instead of
-fresh allocations.
+fused path computes once per fit.
 
 Run standalone to record the perf trajectory::
 
@@ -73,20 +55,13 @@ from repro.core import AirchitectV2, ModelConfig, Stage2Config, Stage2Trainer
 from repro.dse import DSEProblem, generate_random_dataset
 
 SPEEDUP_TARGET = 2.0
-# Graph replay vs fused eager, per step.  Direction-only: both paths run
-# identical arithmetic, and the dispatch/allocation cost replay removes
-# swings 1.05-1.5x with allocator pressure, so any magnitude gate here
-# would assert machine state, not code.  Replay must simply never lose.
-GRAPH_TARGET = 1.0
 OVERHEAD_LIMIT = 0.03
 SAMPLES_DEFAULT = 2048
 EPOCHS_DEFAULT = 20
 ROUNDS_DEFAULT = 3
 
-# (fused, graph_capture) per benched execution mode.
-MODES = {"reference": (False, False),
-         "fused": (True, False),
-         "graph": (True, True)}
+# The fused switch per benched execution mode.
+MODES = {"reference": False, "fused": True}
 
 
 def host_stamp() -> dict:
@@ -101,7 +76,7 @@ def host_stamp() -> dict:
 
 
 def _fit(problem, dataset, model_config, stage2_config,
-         fused: bool, graph: bool = False, profile: bool = False):
+         fused: bool, profile: bool = False):
     """One full stage-2 fit.
 
     Returns (total wall seconds, per-epoch wall seconds, loss history,
@@ -112,7 +87,7 @@ def _fit(problem, dataset, model_config, stage2_config,
     """
     from repro.train import ProfilerCallback, ThroughputMonitor
 
-    with nn.fused_kernels(fused), nn.graph_capture(graph):
+    with nn.fused_kernels(fused):
         model = AirchitectV2(model_config, problem, np.random.default_rng(0))
         trainer = Stage2Trainer(model, stage2_config)
         monitor = ThroughputMonitor()
@@ -140,16 +115,15 @@ def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
               else Stage2Config(epochs=epochs, batch_size=batch_size))
 
     # Warm caches (BLAS init, page pools) outside the measurement.
-    _fit(problem, dataset, model_config, Stage2Config(epochs=1),
-         fused=True, graph=True)
+    _fit(problem, dataset, model_config, Stage2Config(epochs=1), fused=True)
 
     totals = {mode: float("inf") for mode in MODES}
     epoch_times: dict[str, list[float]] = {mode: [] for mode in MODES}
     histories = {}
     for _ in range(rounds):
-        for mode, (fused, graph) in MODES.items():
+        for mode, fused in MODES.items():
             total, epoch_seconds, histories[mode], _ = _fit(
-                problem, dataset, model_config, stage2, fused, graph)
+                problem, dataset, model_config, stage2, fused)
             totals[mode] = min(totals[mode], total)
             epoch_times[mode].extend(epoch_seconds)
 
@@ -171,14 +145,9 @@ def run_bench(samples: int = SAMPLES_DEFAULT, epochs: int = EPOCHS_DEFAULT,
               "fit_speedup": totals["reference"] / max(totals["fused"],
                                                        1e-12),
               "speedup": step["reference"] / max(step["fused"], 1e-12),
-              "graph_speedup": step["reference"] / max(step["graph"], 1e-12),
-              "graph_speedup_vs_fused": step["fused"] / max(step["graph"],
-                                                            1e-12),
               "identical_history": bool(
-                  histories["reference"] == histories["fused"]
-                  == histories["graph"]),
-              "speedup_target": SPEEDUP_TARGET,
-              "graph_target": GRAPH_TARGET}
+                  histories["reference"] == histories["fused"]),
+              "speedup_target": SPEEDUP_TARGET}
     for mode in MODES:
         result[f"{mode}_fit_s"] = totals[mode]
         result[f"{mode}_best_epoch_s"] = min(epoch_times[mode])
@@ -199,11 +168,6 @@ def run_profile_overhead(samples: int = SAMPLES_DEFAULT,
     profiled/plain ratio of each fit's fastest epoch must stay within
     ``OVERHEAD_LIMIT`` of 1, and the loss history must remain
     bit-identical — profiling may never change what the model computes.
-
-    Graph capture is held off on both sides: the gate is defined against
-    the instrumented eager loop (which every fallback batch still runs);
-    the replay path's profiled timing mirrors ``StepContext.apply`` and
-    is covered by the parity tests instead.
     """
     problem = DSEProblem()
     dataset = generate_random_dataset(problem, samples,
@@ -272,8 +236,7 @@ def run_smoke() -> dict:
                        batch_size=64)
     result["smoke"] = True
     # Direction-only fused gate at this scale: the win must exist, not
-    # hit the full-size magnitude target.  (The graph gate is
-    # direction-only at every scale — see GRAPH_TARGET.)
+    # hit the full-size magnitude target.
     result["speedup_target"] = 1.0
     # More rounds than the speedup bench: the 3% gate needs a stable
     # median at this tiny scale, and each extra round costs ~0.1s.
@@ -289,29 +252,6 @@ def test_fused_train_step_beats_reference(benchmark):
     print(json.dumps(result, indent=2))
     assert result["identical_history"]
     assert result["speedup"] >= SPEEDUP_TARGET
-    # Replay may never lose to eager fused dispatch.
-    assert result["graph_speedup_vs_fused"] >= GRAPH_TARGET
-
-
-@pytest.mark.slow
-def test_graph_replay_never_loses_dispatch_bound():
-    """Graph replay wins where dispatch dominates, ~2x vs the reference.
-
-    The dispatch-bound regime: a decoder small enough that per-step
-    Tensor/closure construction and fresh output allocation — the costs
-    replay removes — are a visible share of the step.  The magnitude of
-    the win tracks allocator pressure (1.05-1.5x measured on the same
-    hardware), so the gate is direction-only here too; the reference
-    comparison is the stable magnitude claim.
-    """
-    config = ModelConfig(d_model=16, n_layers=1, n_heads=2, embed_dim=8,
-                         head_hidden=32, num_buckets=8)
-    result = run_bench(samples=512, epochs=6, rounds=3, model_config=config,
-                       batch_size=64)
-    print(json.dumps(result, indent=2))
-    assert result["identical_history"]
-    assert result["graph_speedup_vs_fused"] >= GRAPH_TARGET
-    assert result["graph_speedup"] >= 1.5
 
 
 @pytest.mark.slow
@@ -354,17 +294,12 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(text + "\n")
     failed = False
     if not result["identical_history"]:
-        print("FAIL: loss histories diverge across reference/fused/graph",
+        print("FAIL: loss histories diverge between reference and fused",
               file=sys.stderr)
         failed = True
     if result["speedup"] < result["speedup_target"]:
         print(f"FAIL: speedup {result['speedup']:.2f}x < "
               f"{result['speedup_target']:.1f}x target", file=sys.stderr)
-        failed = True
-    if result["graph_speedup_vs_fused"] < result["graph_target"]:
-        print(f"FAIL: graph replay {result['graph_speedup_vs_fused']:.2f}x "
-              f"vs fused < {result['graph_target']:.2f}x target",
-              file=sys.stderr)
         failed = True
     profiling = result["profiling"]
     if not profiling["identical_history"]:

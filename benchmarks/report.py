@@ -56,18 +56,6 @@ def _rows_train_step(doc: dict) -> list[tuple[str, str, str, str]]:
         _gate(doc["speedup"] >= doc["speedup_target"]
               and doc["identical_history"]),
     )]
-    # Records predating the graph-capture engine lack the graph keys;
-    # keep rendering their fused/reference row instead of skipping.
-    if "graph_speedup_vs_fused" in doc:
-        rows.append((
-            "train_step/graph",
-            f"{_fmt(doc['graph_speedup_vs_fused'])}x graph replay vs fused "
-            f"({_fmt(doc['graph_step_ms'])}ms step, "
-            f"{_fmt(doc['graph_speedup'])}x vs reference)",
-            f">= {_fmt(doc['graph_target'])}x fused, identical history",
-            _gate(doc["graph_speedup_vs_fused"] >= doc["graph_target"]
-                  and doc["identical_history"]),
-        ))
     profiling = doc.get("profiling")
     if profiling:
         rows.append((

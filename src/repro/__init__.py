@@ -26,6 +26,32 @@ See README.md for the architecture and the experiment index.
 
 __version__ = "1.0.0"
 
+
+def _set_allocator_policy() -> None:
+    """Keep numpy's MiB-sized temporaries in the heap between steps.
+
+    glibc serves any block above ``M_MMAP_THRESHOLD`` (128 KiB until its
+    dynamic threshold has grown) with a fresh ``mmap`` and trims the
+    heap top above ``M_TRIM_THRESHOLD``, so every training step and
+    batched forward returned its temporaries to the OS on free and paid
+    one page fault per 4 KiB to touch them again on the next step.
+    Pinning both at the ceilings glibc's own dynamic rule would reach on
+    64-bit (32 MiB, and twice that for the trim) keeps those pages
+    mapped; the arrays and every computed value are unchanged.
+    """
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3      # <malloc.h>
+    libc = ctypes.CDLL(None)
+    libc.mallopt(m_mmap_threshold, 32 << 20)
+    libc.mallopt(m_trim_threshold, 64 << 20)
+
+
+_set_allocator_policy()
+
 from . import analysis, baselines, core, dse, faults, maestro, nn, registry
 from . import scalesim, search, train, uov, workloads
 

@@ -355,10 +355,9 @@ def train_main(argv: list[str] | None = None) -> int:
         "gandse": "gandse", "vaesa": "vaesa"}[args.model])
     cached = workspace.has(model_path)
 
-    from .train import ExecutionMonitor, ProfilerCallback, ThroughputMonitor
+    from .train import ProfilerCallback, ThroughputMonitor
     throughput = ThroughputMonitor()
-    execution = ExecutionMonitor()
-    callbacks = [throughput, execution]
+    callbacks = [throughput]
     profiler_cb = None
     if args.profile:
         profiler_cb = ProfilerCallback()
@@ -403,7 +402,6 @@ def train_main(argv: list[str] | None = None) -> int:
                    "samples_per_sec": throughput.mean_samples_per_sec,
                    "mean_epoch_ms": mean_epoch_ms,
                },
-               "execution": execution.summary(),
                "accuracy": metrics.accuracy if metrics else None,
                "pe_accuracy": metrics.pe_accuracy if metrics else None,
                "l2_accuracy": metrics.l2_accuracy if metrics else None}
@@ -438,12 +436,6 @@ def train_main(argv: list[str] | None = None) -> int:
             print(f"throughput: {throughput.mean_samples_per_sec:.0f} "
                   f"samples/sec over {len(throughput.epochs)} epoch(s) "
                   f"({throughput.total_seconds:.1f}s in the train loop)")
-        exec_summary = summary["execution"]
-        if exec_summary["fits"]:
-            print(f"execution: {exec_summary['backend']} backend "
-                  f"({exec_summary['captures']} capture(s), "
-                  f"{exec_summary['replays']} replay(s), "
-                  f"{exec_summary['fallbacks']} eager fallback(s))")
         if profiler_cb is not None:
             profile = profiler_cb.snapshot()
             shares = ", ".join(

@@ -127,32 +127,6 @@ class _Stage2Task(TrainTask):
         step.apply(loss)
         return {"loss": loss.item()}
 
-    def graph_step(self, batch):
-        """Graph-capture plan: decoder + loss over cached embeddings.
-
-        Only the fused fast path is capturable: there the whole step is
-        a fixed function of three per-batch arrays (embeddings, pe/l2
-        targets), computed identically to ``batch_step`` — the frozen
-        encoder has already been folded into the embedding cache, and
-        decoder dropout (if any) disqualifies the trace at capture time
-        via the tracer's rng-op check.  The slow path re-runs the
-        encoder per batch (possibly with train-mode dropout inside), so
-        it stays eager.
-        """
-        if not (nn.fused_enabled() and self._embed_cacheable):
-            return None
-        xb, pb, lb, idx = batch
-        emb = self._embeddings(idx).data
-        trainer = self.trainer
-        decoder = self.model.decoder
-
-        def fn(emb_arr, pe_t, l2_t):
-            embedding = nn.Tensor(emb_arr)
-            pe_logits, l2_logits = decoder(embedding.detach())
-            return trainer._loss(pe_logits, l2_logits, pe_t, l2_t)
-
-        return (emb, pb, lb), fn
-
 
 class Stage2Trainer:
     """Trains the decoder (and heads) with the encoder frozen."""

@@ -21,7 +21,6 @@ from ..core import (AirchitectV2, Stage1Config, Stage1Trainer, Stage2Config,
                     Stage2Trainer)
 from ..dse import (DSEDataset, DSEProblem, ExhaustiveOracle,
                    generate_workload_dataset)
-from ..train import ExecutionMonitor
 from ..workloads import all_training_layers
 from .harness import ExperimentScale, Workspace, get_scale
 
@@ -77,10 +76,8 @@ def _cached_model(workspace: Workspace, scale: ExperimentScale, tag: str,
                   build, train):
     """Generic build-or-load through the workspace's model registry:
     ``build()`` makes the module, ``train(model, checkpoint)`` fits it
-    (only when no artifact exists).  ``train`` may return a dict of extra
-    fingerprint fields (e.g. which execution backend ran the fit); the
-    bit-identity contract of the graph/fused paths means the backend never
-    changes the artifact, so this is provenance, not identity.
+    (only when no artifact exists); whatever it returns is ignored, so
+    loss histories never reach the manifest.
 
     The fitted model is registered as a manifested artifact (kind,
     config, scale + seed fingerprint), so ``repro serve --registry``
@@ -100,10 +97,10 @@ def _cached_model(workspace: Workspace, scale: ExperimentScale, tag: str,
         model.eval()
         return model
     checkpoint = workspace.checkpoint_key(scale, tag)
-    extra = train(model, checkpoint)
+    train(model, checkpoint)
     registry.save(model, model_id, scale=scale.name,
                   fingerprint={"scale": scale.name, "seed": int(scale.seed),
-                               "tag": tag, **(extra or {})})
+                               "tag": tag})
     for stale in checkpoint.parent.glob(checkpoint.name + "*"):
         stale.unlink()
     return model
@@ -118,10 +115,7 @@ def get_v2(scale, train_set: DSEDataset, workspace: Workspace | None = None,
 
     ``callbacks`` (e.g. a :class:`repro.train.ThroughputMonitor`) are
     attached to both stage fits; they only fire when the model is actually
-    trained, not when it loads from the workspace cache.  An
-    :class:`~repro.train.ExecutionMonitor` always rides along, so the
-    registry manifest records which execution backend (eager / fused /
-    graph) actually trained the artifact.
+    trained, not when it loads from the workspace cache.
     """
     scale = get_scale(scale)
     workspace = workspace or Workspace()
@@ -135,17 +129,14 @@ def get_v2(scale, train_set: DSEDataset, workspace: Workspace | None = None,
                                     num_buckets=num_buckets)
         return AirchitectV2(config, problem, rng)
 
-    def fit(model: AirchitectV2, checkpoint) -> dict:
+    def fit(model: AirchitectV2, checkpoint) -> None:
         s1, s2 = stage_configs(scale, use_contrastive, use_perf)
-        execution = ExecutionMonitor()
-        cbs = tuple(callbacks) + (execution,)
         Stage1Trainer(model, s1).train(
-            train_set, callbacks=cbs,
+            train_set, callbacks=callbacks,
             checkpoint_path=f"{checkpoint}_stage1.npz")
         Stage2Trainer(model, s2).train(
-            train_set, callbacks=cbs,
+            train_set, callbacks=callbacks,
             checkpoint_path=f"{checkpoint}_stage2.npz")
-        return {"backend": execution.summary()["backend"]}
 
     return _cached_model(workspace, scale, tag, build, fit)
 

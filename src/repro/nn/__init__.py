@@ -6,11 +6,10 @@ framework: an autograd :class:`Tensor`, transformer layers, losses
 pipelines, so the reproduction runs on numpy alone instead of PyTorch.
 """
 
-from . import functional, fused, graph, init
+from . import functional, fused, init
 from .attention import (DownsampleUnit, FeedForward, MultiHeadSelfAttention,
                         TransformerBlock, TransformerStack, UpsampleUnit)
 from .fused import fused_enabled, fused_kernels
-from .graph import graph_capture, graph_enabled
 from .data import ArrayDataset, DataLoader, train_test_split
 from .layers import (Dropout, Embedding, GELU, Identity, LayerNorm, Linear,
                      ReLU, Sigmoid, Tanh)
@@ -26,7 +25,6 @@ from .tensor import Tensor, as_tensor, concat, no_grad, stack, where
 __all__ = [
     "Tensor", "as_tensor", "concat", "stack", "where", "no_grad",
     "functional", "fused", "fused_enabled", "fused_kernels", "init",
-    "graph", "graph_capture", "graph_enabled",
     "Module", "ModuleList", "Parameter", "Sequential",
     "Linear", "LayerNorm", "Embedding", "Dropout",
     "ReLU", "GELU", "Tanh", "Sigmoid", "Identity",

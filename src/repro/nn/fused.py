@@ -25,11 +25,11 @@ The fused kernels are **bit-identical** to the compositions they replace
   reorder any other node's firing slot (``scaled_matmul`` keeps the
   composed matmul's parent tuple for the same reason);
 * an N-D operand times a 2-D one is ONE flat 2-D GEMM, forward and
-  backward, everywhere it runs — ``linear`` here, the composed
-  ``Tensor.__matmul__`` and the graph lowerings all call
+  backward, everywhere it runs — ``linear`` here and the composed
+  ``Tensor.__matmul__`` both call
   :func:`~repro.nn.tensor.flat_matmul` and
   :func:`~repro.nn.tensor.flat_matmul_grads`, so the weight gradient is
-  ``x2.T @ g2`` on all three paths (changing that rule changes the
+  ``x2.T @ g2`` on both paths (changing that rule changes the
   weight-gradient summation order, so it lives in one place);
 * when no backward will be recorded (``no_grad``, or no input requires
   grad), ``gelu`` and ``layer_norm`` take a no-grad path: the same
@@ -103,7 +103,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
             weight._accumulate_owned(gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make(out, parents, backward, "fused.linear")
+    return Tensor._make(out, parents, backward)
 
 
 def _records(*inputs: Tensor) -> bool:
@@ -129,7 +129,7 @@ def gelu(x: Tensor) -> Tensor:
         np.add(out, 1.0, out=out)
         np.multiply(xd, out, out=out)
         np.multiply(out, 0.5, out=out)
-        return Tensor._make(out, (x,), None, "fused.gelu")
+        return Tensor._make(out, (x,), None)
     x2 = xd * xd
     t = np.tanh((xd + (x2 * xd) * 0.044715) * _GELU_C)
     tp = t + 1.0
@@ -155,7 +155,7 @@ def gelu(x: Tensor) -> Tensor:
         x._accumulate_owned(gq)                      # from x * x (both
         x._accumulate(gq)                            #  operand slots)
 
-    return Tensor._make(out, (x,), backward, "fused.gelu")
+    return Tensor._make(out, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -173,8 +173,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         np.divide(out, sd, out=out)
         np.multiply(out, gd, out=out)
         np.add(out, beta.data, out=out)
-        return Tensor._make(out, (x, gamma, beta), None, "fused.layer_norm",
-                            {"eps": eps})
+        return Tensor._make(out, (x, gamma, beta), None)
     centred = xd - mean
     sq = centred * centred
     var = sq.sum(axis=-1, keepdims=True) * inv
@@ -199,8 +198,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
             gsum1 = _unbroadcast(-gc, mean.shape) * inv
             x._accumulate(np.broadcast_to(gsum1, xd.shape))
 
-    return Tensor._make(out, (x, gamma, beta), backward, "fused.layer_norm",
-                        {"eps": eps})
+    return Tensor._make(out, (x, gamma, beta), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -218,7 +216,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         ge = ge + np.broadcast_to(gs, exps.shape)
         x._accumulate_owned(ge * exps)
 
-    return Tensor._make(out, (x,), backward, "fused.softmax", {"axis": axis})
+    return Tensor._make(out, (x,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -238,8 +236,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         gt = np.broadcast_to(gse, e.shape) * e
         x._accumulate_owned(grad + gt)
 
-    return Tensor._make(out, (x,), backward, "fused.log_softmax",
-                        {"axis": axis})
+    return Tensor._make(out, (x,), backward)
 
 
 def normalize(x: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
@@ -260,8 +257,7 @@ def normalize(x: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
         x._accumulate(gx)
         x._accumulate(gx)
 
-    return Tensor._make(out, (x,), backward, "fused.normalize",
-                        {"axis": axis, "eps": eps})
+    return Tensor._make(out, (x,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -280,7 +276,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate_owned(_unbroadcast(np.swapaxes(ad, -1, -2) @ g,
                                              bd.shape))
 
-    return Tensor._make(out, (a, b), backward, "fused.matmul")
+    return Tensor._make(out, (a, b), backward)
 
 
 def scaled_matmul(a: Tensor, b: Tensor, scale: float) -> Tensor:
@@ -303,8 +299,7 @@ def scaled_matmul(a: Tensor, b: Tensor, scale: float) -> Tensor:
             b._accumulate_owned(_unbroadcast(np.swapaxes(ad, -1, -2) @ g,
                                              bd.shape))
 
-    return Tensor._make(out, (a, b), backward, "fused.scaled_matmul",
-                        {"scale": scale})
+    return Tensor._make(out, (a, b), backward)
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -329,8 +324,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
         logits._accumulate(gax * np.sign(xd))
         logits._accumulate(-grad * targets)
 
-    return Tensor._make(out, (logits,), backward, "fused.bce_with_logits",
-                        {"target": targets})
+    return Tensor._make(out, (logits,), backward)
 
 
 def l1_mean(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -346,8 +340,7 @@ def l1_mean(pred: Tensor, target: np.ndarray) -> Tensor:
         ga = np.broadcast_to(grad * (1.0 / n), a.shape)
         pred._accumulate_owned(_unbroadcast(ga * np.sign(d), pred.data.shape))
 
-    return Tensor._make(out, (pred,), backward, "fused.l1_mean",
-                        {"target": target})
+    return Tensor._make(out, (pred,), backward)
 
 
 def mse_mean(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -365,8 +358,7 @@ def mse_mean(pred: Tensor, target: np.ndarray) -> Tensor:
         gd = gd + gsq * d
         pred._accumulate_owned(_unbroadcast(gd, pred.data.shape))
 
-    return Tensor._make(out, (pred,), backward, "fused.mse_mean",
-                        {"target": target})
+    return Tensor._make(out, (pred,), backward)
 
 
 def unification_loss(logits: Tensor, q: np.ndarray, alpha: float) -> Tensor:
@@ -417,8 +409,7 @@ def unification_loss(logits: Tensor, q: np.ndarray, alpha: float) -> Tensor:
         logits._accumulate(gax * np.sign(xd))
         logits._accumulate(-gbce * q)
 
-    return Tensor._make(out, (logits,), backward, "fused.unification_loss",
-                        {"q": q, "alpha": alpha})
+    return Tensor._make(out, (logits,), backward)
 
 
 def split_heads(x: Tensor, num_heads: int, head_dim: int) -> Tensor:
@@ -434,8 +425,7 @@ def split_heads(x: Tensor, num_heads: int, head_dim: int) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad.swapaxes(1, 2).reshape(b, s, dim))
 
-    return Tensor._make(out, (x,), backward, "fused.split_heads",
-                        {"num_heads": num_heads, "head_dim": head_dim})
+    return Tensor._make(out, (x,), backward)
 
 
 def merge_heads(x: Tensor) -> Tensor:
@@ -447,7 +437,7 @@ def merge_heads(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad.reshape(b, s, h, hd).swapaxes(1, 2))
 
-    return Tensor._make(out, (x,), backward, "fused.merge_heads")
+    return Tensor._make(out, (x,), backward)
 
 
 def nll_mean(log_probs: Tensor, onehot: np.ndarray) -> Tensor:
@@ -464,5 +454,4 @@ def nll_mean(log_probs: Tensor, onehot: np.ndarray) -> Tensor:
         gp = np.broadcast_to(np.expand_dims(gs1, -1), p.shape)
         log_probs._accumulate_owned(gp * onehot)
 
-    return Tensor._make(out, (log_probs,), backward, "fused.nll_mean",
-                        {"onehot": onehot})
+    return Tensor._make(out, (log_probs,), backward)

@@ -39,12 +39,6 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor", "concat", "stack
 
 _GRAD_ENABLED = [True]
 
-# Active graph tracer (see repro.nn.graph).  While the top of this stack
-# is not None, every Tensor produced through ``Tensor._make`` is also
-# reported to the tracer — the op still executes eagerly, so a trace that
-# fails to capture costs nothing and changes no values.
-_TRACER = [None]
-
 
 @contextlib.contextmanager
 def no_grad():
@@ -54,16 +48,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED.pop()
-
-
-@contextlib.contextmanager
-def tracing(tracer):
-    """Report every op built under this scope to ``tracer`` (graph capture)."""
-    _TRACER.append(tracer)
-    try:
-        yield tracer
-    finally:
-        _TRACER.pop()
 
 
 def is_grad_enabled() -> bool:
@@ -176,23 +160,13 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[np.ndarray], None] | None,
-              op: str | None = None, meta: dict | None = None) -> "Tensor":
-        """Create a result tensor, recording the graph edge if needed.
-
-        ``op``/``meta`` name the operation for graph capture: while a
-        tracer is installed (see :func:`tracing`), each result is also
-        recorded as an IR node so :mod:`repro.nn.graph` can compile and
-        replay the step without re-dispatching through Python.
-        """
+              backward: Callable[[np.ndarray], None] | None) -> "Tensor":
+        """Create a result tensor, recording the graph edge if needed."""
         out = Tensor(data)
         if is_grad_enabled() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
-        tracer = _TRACER[-1]
-        if tracer is not None:
-            tracer.record(out, op, parents, meta)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -296,7 +270,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "add")
+        return Tensor._make(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -310,7 +284,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-grad, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "sub")
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
@@ -325,7 +299,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "mul")
+        return Tensor._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -340,7 +314,7 @@ class Tensor:
                 other._accumulate(
                     _unbroadcast(-grad * self.data / (other.data ** 2), other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "div")
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
@@ -352,7 +326,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-grad)
 
-        return Tensor._make(out_data, (self,), backward, "neg")
+        return Tensor._make(out_data, (self,), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -363,8 +337,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        return Tensor._make(out_data, (self,), backward, "pow",
-                            {"exponent": exponent})
+        return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -395,7 +368,7 @@ class Tensor:
                         gb = gb.sum(axis=tuple(range(gb.ndim - 1))) if gb.ndim > 1 else gb
                 other._accumulate(_unbroadcast(gb, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "matmul")
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rmatmul__(self, other) -> "Tensor":
         return as_tensor(other).__matmul__(self)
@@ -410,7 +383,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * out_data)
 
-        return Tensor._make(out_data, (self,), backward, "exp")
+        return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
@@ -419,7 +392,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad / self.data)
 
-        return Tensor._make(out_data, (self,), backward, "log")
+        return Tensor._make(out_data, (self,), backward)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
@@ -428,7 +401,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * 0.5 / out_data)
 
-        return Tensor._make(out_data, (self,), backward, "sqrt")
+        return Tensor._make(out_data, (self,), backward)
 
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
@@ -437,7 +410,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * np.sign(self.data))
 
-        return Tensor._make(out_data, (self,), backward, "abs")
+        return Tensor._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -446,7 +419,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * (1.0 - out_data ** 2))
 
-        return Tensor._make(out_data, (self,), backward, "tanh")
+        return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         # Numerically stable logistic function.
@@ -459,7 +432,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * out_data * (1.0 - out_data))
 
-        return Tensor._make(out_data, (self,), backward, "sigmoid")
+        return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -469,7 +442,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * mask)
 
-        return Tensor._make(out_data, (self,), backward, "relu")
+        return Tensor._make(out_data, (self,), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values to ``[low, high]``; gradient is zero outside the range."""
@@ -480,8 +453,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * mask)
 
-        return Tensor._make(out_data, (self,), backward, "clip",
-                            {"low": low, "high": high})
+        return Tensor._make(out_data, (self,), backward)
 
     def maximum(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -496,7 +468,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad * other_mask, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward, "maximum")
+        return Tensor._make(out_data, (self, other), backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -512,8 +484,7 @@ class Tensor:
                 g = np.expand_dims(g, axis=axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        return Tensor._make(out_data, (self,), backward, "sum",
-                            {"axis": axis, "keepdims": keepdims})
+        return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -539,8 +510,7 @@ class Tensor:
             counts = mask.sum(axis=axis if axis is not None else None, keepdims=True)
             self._accumulate(np.broadcast_to(g, self.shape) * mask / counts)
 
-        return Tensor._make(out_data, (self,), backward, "max",
-                            {"axis": axis, "keepdims": keepdims})
+        return Tensor._make(out_data, (self,), backward)
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
@@ -558,8 +528,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.reshape(in_shape))
 
-        return Tensor._make(out_data, (self,), backward, "reshape",
-                            {"shape": tuple(out_data.shape)})
+        return Tensor._make(out_data, (self,), backward)
 
     def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
         out_data = self.data.transpose(axes)
@@ -572,8 +541,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.transpose(inverse))
 
-        return Tensor._make(out_data, (self,), backward, "transpose",
-                            {"axes": None if axes is None else tuple(axes)})
+        return Tensor._make(out_data, (self,), backward)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         out_data = self.data.swapaxes(a, b)
@@ -582,8 +550,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.swapaxes(a, b))
 
-        return Tensor._make(out_data, (self,), backward, "swapaxes",
-                            {"a": a, "b": b})
+        return Tensor._make(out_data, (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
@@ -594,8 +561,7 @@ class Tensor:
                 np.add.at(full, index, grad)
                 self._accumulate(full)
 
-        return Tensor._make(out_data, (self,), backward, "getitem",
-                            {"index": index})
+        return Tensor._make(out_data, (self,), backward)
 
     def expand_dims(self, axis: int) -> "Tensor":
         out_data = np.expand_dims(self.data, axis)
@@ -604,8 +570,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(np.squeeze(grad, axis=axis))
 
-        return Tensor._make(out_data, (self,), backward, "expand_dims",
-                            {"axis": axis})
+        return Tensor._make(out_data, (self,), backward)
 
     def squeeze(self, axis: int) -> "Tensor":
         out_data = np.squeeze(self.data, axis=axis)
@@ -614,8 +579,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(np.expand_dims(grad, axis=axis))
 
-        return Tensor._make(out_data, (self,), backward, "squeeze",
-                            {"axis": axis})
+        return Tensor._make(out_data, (self,), backward)
 
 
 def flat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -624,9 +588,8 @@ def flat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     numpy runs a stacked ``(B, s, k) @ (k, n)`` as B separate s x k
     products; flattening the leading axes hands BLAS a single
     (B*s, k) x (k, n) product instead.  Every matmul of an N-D operand
-    by a 2-D one goes through here — the op-by-op reference, the fused
-    ``linear`` kernel and the graph lowerings — so all three stay
-    bit-identical by construction (backward: :func:`flat_matmul_grads`).
+    by a 2-D one goes through here — the op-by-op reference and the fused
+    ``linear`` kernel — so both stay bit-identical by construction (backward: :func:`flat_matmul_grads`).
     """
     out = a.reshape(-1, a.shape[-1]) @ b
     return out.reshape(a.shape[:-1] + (b.shape[-1],))
@@ -657,7 +620,7 @@ def _linear_matmul(x: Tensor, w: Tensor) -> Tensor:
         if gw is not None:
             w._accumulate(gw)
 
-    return Tensor._make(flat_matmul(xd, wd), (x, w), backward, "matmul")
+    return Tensor._make(flat_matmul(xd, wd), (x, w), backward)
 
 
 def as_tensor(value, requires_grad: bool = False) -> Tensor:
@@ -681,7 +644,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 index[axis] = slice(start, stop)
                 tensor._accumulate(grad[tuple(index)])
 
-    return Tensor._make(out_data, tensors, backward, "concat", {"axis": axis})
+    return Tensor._make(out_data, tensors, backward)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -695,7 +658,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             if tensor.requires_grad:
                 tensor._accumulate(slab)
 
-    return Tensor._make(out_data, tensors, backward, "stack", {"axis": axis})
+    return Tensor._make(out_data, tensors, backward)
 
 
 def where(condition, a, b) -> Tensor:
@@ -714,4 +677,4 @@ def where(condition, a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad * (~cond), b.shape))
 
-    return Tensor._make(out_data, (a, b), backward, "where", {"cond": cond})
+    return Tensor._make(out_data, (a, b), backward)

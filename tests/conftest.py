@@ -13,18 +13,16 @@ from repro.experiments import Workspace
 
 
 @pytest.fixture(autouse=True)
-def _restore_execution_switches():
-    """Guarantee fused/graph toggles never leak across tests.
+def _restore_execution_switch():
+    """Guarantee the fused toggle never leaks across tests.
 
-    The switches are exception-safe context managers already; this
-    backstop also covers tests that flip them mid-assert and fail, or
-    call the module-level setters directly.
+    The switch is an exception-safe context manager already; this
+    backstop also covers tests that flip it mid-assert and fail, or
+    call the module-level setter directly.
     """
     fused = nn.fused._FUSED.snapshot()
-    graph = nn.graph.engine._CAPTURE.snapshot()
     yield
     nn.fused._FUSED.restore(fused)
-    nn.graph.engine._CAPTURE.restore(graph)
 
 
 @pytest.fixture

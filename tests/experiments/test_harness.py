@@ -7,7 +7,7 @@ import pytest
 
 from repro.experiments import (SCALES, ExperimentScale, Workspace, get_scale,
                                render_table)
-from repro.experiments.common import get_datasets
+from repro.experiments.common import get_datasets, get_v1, get_v2
 
 
 class TestScales:
@@ -65,6 +65,22 @@ class TestWorkspaceCaching:
         a = workspace.dataset_key(SCALES["tiny"], "train")
         b = workspace.dataset_key(SCALES["tiny"].with_seed(1), "train")
         assert a != b
+
+
+class TestModelFingerprints:
+    """A cached model's manifest fingerprint names the run that trained
+    it; what the fit returns (e.g. a loss history) stays out of it."""
+
+    @pytest.mark.parametrize("getter, tag", [(get_v2, "v2_uov_k16_c1p1"),
+                                             (get_v1, "v1_joint")])
+    def test_fingerprint_is_scale_seed_tag(self, session_workspace, getter,
+                                           tag):
+        scale = get_scale("tiny")
+        train, _ = get_datasets(scale, session_workspace)
+        getter(scale, train, session_workspace)
+        artifact = session_workspace.registry.artifact(
+            session_workspace.model_id(scale, tag))
+        assert set(artifact.fingerprint) == {"scale", "seed", "tag"}
 
 
 class TestRenderTable:
