@@ -17,7 +17,16 @@ Latency is a roofline over three engines plus tile-phase overhead::
   optima and long-tailed label distribution the paper observes (Fig. 3).
 
 Everything broadcasts: the oracle evaluates the full 64 x 12 design grid
-for batches of layers in a single numpy pass (``evaluate_grid``).
+for batches of layers in a single numpy pass (``evaluate_grid``).  Each
+term runs at its own operands' shape, not the grid's: the spatial analysis
+(compute, NoC, fill, utilisation) never depends on the buffer size and runs
+at ``(batch, 64, 1)``; the tiling analysis (DRAM traffic, tile switches)
+never depends on the PE count and runs at ``(batch, 1, 12)``; only the
+roofline ``max``, the overhead and the energy sum are formed at
+``(batch, 64, 12)``.  Every element is the same expression on the same
+operands as a fully broadcast evaluation, so the results are bitwise equal.
+The returned fields are read-only arrays at the common broadcast shape
+(broadcast views for the terms computed at a smaller one).
 """
 
 from __future__ import annotations
@@ -34,9 +43,19 @@ from .workload import GemmWorkload
 __all__ = ["CostBreakdown", "CostModel"]
 
 
+def _readonly(value, shape: tuple) -> np.ndarray:
+    """``value`` as a read-only array of ``shape``: a broadcast view when
+    it is smaller, else the (freshly computed) array itself, frozen."""
+    if isinstance(value, np.ndarray) and value.shape == shape:
+        value.flags.writeable = False
+        return value
+    return np.broadcast_to(value, shape)
+
+
 @dataclass
 class CostBreakdown:
-    """Vectorised cost-model outputs (broadcast numpy arrays)."""
+    """Vectorised cost-model outputs (read-only numpy arrays at the common
+    broadcast shape of the inputs)."""
 
     latency_cycles: np.ndarray
     compute_cycles: np.ndarray
@@ -80,7 +99,6 @@ class CostModel:
         k = np.asarray(k, dtype=np.int64)
         pes = np.asarray(pes, dtype=np.int64)
         l2_kb = np.asarray(l2_kb, dtype=np.float64)
-        m, n, k, pes, l2_kb = np.broadcast_arrays(m, n, k, pes, l2_kb)
 
         spatial = SpatialAnalysis(dataflow, m, n, k, pes)
         capacity = l2_kb * 1024.0 / tech.element_bytes
@@ -114,13 +132,15 @@ class CostModel:
                   + (noc_bytes + dram_bytes) * l2_energy_rate
                   + dram_bytes * tech.e_dram)
 
-        return CostBreakdown(latency_cycles=latency,
-                             compute_cycles=compute,
-                             noc_cycles=noc_cycles,
-                             dram_cycles=dram_cycles,
-                             overhead_cycles=overhead,
-                             energy_pj=energy,
-                             utilization=spatial.utilization)
+        shape = np.shape(latency)   # the overhead term reaches every input
+        return CostBreakdown(
+            latency_cycles=_readonly(latency, shape),
+            compute_cycles=_readonly(compute, shape),
+            noc_cycles=_readonly(noc_cycles, shape),
+            dram_cycles=_readonly(dram_cycles, shape),
+            overhead_cycles=_readonly(overhead, shape),
+            energy_pj=_readonly(energy, shape),
+            utilization=_readonly(spatial.utilization, shape))
 
     def evaluate_mixed(self, m, n, k, dataflow_idx, pes, l2_kb) -> CostBreakdown:
         """Like :meth:`evaluate` but ``dataflow_idx`` is a per-sample array.

@@ -3,8 +3,9 @@
 The L2 buffer is partitioned between the dataflow's *stationary* operand
 tile (kept as large as possible) and double-buffered stream blocks for the
 other two operands.  All functions are vectorised: ``m, n, k`` and
-``capacity_elems`` broadcast together, so the oracle can evaluate the whole
-(64 PE x 12 buffer) grid for a batch of layers in one numpy pass.
+``capacity_elems`` broadcast together.  Tiling never depends on the PE
+count, so for the oracle's (64 PE x 12 buffer) grid the cost model runs it
+at ``(batch, 1, 12)`` — once per buffer size, not once per grid point.
 
 Traffic formulas follow the classic tiled-GEMM reload counts:
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,64 @@ class TestVectorisedAPIs:
     def test_bound_by_classification(self, cost_model):
         out = cost_model.evaluate(256, 1024, 512, "os", 8, 32768)
         assert int(out.bound_by()) in (0, 1, 2)
+
+
+_FIELDS = ("latency_cycles", "compute_cycles", "noc_cycles", "dram_cycles",
+           "overhead_cycles", "energy_pj", "utilization")
+
+
+class TestPerTermShapes:
+    """``evaluate`` runs each term at its own operands' shape (spatial terms
+    at ``(B, 64, 1)``, tiling terms at ``(B, 1, 12)``); the results must be
+    the bits of a fully pre-broadcast evaluation, as read-only arrays."""
+
+    @pytest.mark.parametrize("df", list(Dataflow))
+    def test_grid_bitwise_equals_prebroadcast(self, cost_model, problem,
+                                              rng, df):
+        space = problem.space
+        rows = problem.sample_inputs(64, rng)
+        m, n, k = rows[:, 0], rows[:, 1], rows[:, 2]
+        out = cost_model.evaluate_grid(m, n, k, df, space.pe_choices,
+                                       space.l2_choices)
+        shape = (len(rows), space.n_pe, space.n_l2)
+        full = [np.broadcast_to(a, shape) for a in (
+            m.reshape(-1, 1, 1), n.reshape(-1, 1, 1), k.reshape(-1, 1, 1),
+            space.pe_choices.reshape(1, -1, 1),
+            space.l2_choices.reshape(1, 1, -1))]
+        ref = cost_model.evaluate(full[0], full[1], full[2], df,
+                                  full[3], full[4])
+        for name in _FIELDS:
+            got, want = getattr(out, name), getattr(ref, name)
+            assert got.shape == shape, name
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_fields_are_readonly_grids(self, cost_model, problem):
+        space = problem.space
+        out = cost_model.evaluate_grid(np.array([3, 90]), np.array([7, 800]),
+                                       np.array([11, 64]), "os",
+                                       space.pe_choices, space.l2_choices)
+        for name in _FIELDS:
+            value = getattr(out, name)
+            assert value.shape == (2, space.n_pe, space.n_l2), name
+            assert not value.flags.writeable, name
+            with pytest.raises(ValueError):
+                value[0, 0, 0] = 0.0
+
+    def test_grid_peak_memory_is_a_few_grids(self, cost_model, problem, rng):
+        """A 1024-row grid must not materialise every term at grid shape
+        (a fully broadcast evaluation peaks at ~27 grids, ~170 MB)."""
+        space = problem.space
+        rows = problem.sample_inputs(1024, rng)
+        grid_bytes = len(rows) * space.n_pe * space.n_l2 * 8
+        tracemalloc.start()
+        try:
+            cost_model.evaluate_grid(rows[:, 0], rows[:, 1], rows[:, 2], "ws",
+                                     space.pe_choices, space.l2_choices)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid_bytes, peak / grid_bytes
 
 
 class TestTechnologyAndConfig:
