@@ -1,7 +1,7 @@
 """Concurrent-client serving: batcher speedup, tail latency, backpressure,
-and the request-tracing overhead gate.
+the request-tracing and fault-hook overhead gates, and the sweep pool.
 
-Four gates, one per serving-subsystem promise:
+Six gates, one per serving-subsystem promise:
 
 * **Batcher speedup** — with N concurrent clients issuing
   single-workload requests, the dynamic batcher (which coalesces them
@@ -24,6 +24,13 @@ Four gates, one per serving-subsystem promise:
   <= 1% of a single-row engine pass per request, measured as the
   per-call price of a disarmed probe times a generous per-request hook
   count against the bare engine p50.
+* **Sweep pool** — what ``repro serve --sweep-workers 2`` buys: a
+  2-worker :class:`~repro.serving.ShardedSweepExecutor` against the
+  in-process engine on the same rows in ``/sweep``'s 1,024-row chunks,
+  with identical predictions and the BLAS threads a worker runs.
+
+The record carries a ``host`` block (cores, numpy/BLAS version and
+threads, git sha); compare records only within a host.
 
 Run standalone to record the perf trajectory::
 
@@ -37,9 +44,9 @@ or under pytest (the tests are marked ``slow``)::
 
 ``--smoke`` runs a seconds-long configuration for CI: the batcher must
 beat the per-request loop at all, sustained p99 stays under a lenient
-CI bound, and saturation must produce at least one 429 with its
-Retry-After header — so serving regressions fail PRs instead of
-releases.
+CI bound, saturation must produce at least one 429 with its
+Retry-After header, and the sweep pool must beat the in-process engine
+at all — so serving regressions fail PRs instead of releases.
 """
 
 from __future__ import annotations
@@ -56,13 +63,17 @@ import urllib.request
 import numpy as np
 import pytest
 
+from bench_train_step import host_stamp
+from repro import blas
 from repro.core import (AirchitectV2, BatchedDSEPredictor, DSEPredictor,
                         ModelConfig)
 from repro.dse import DSEProblem
+from repro.experiments import get_scale
 from repro.faults import active as _active_faults
 from repro.faults import fire
 from repro.obs import Tracer
-from repro.serving import DSEServer, DynamicBatcher, ServingStats
+from repro.serving import (DSEServer, DynamicBatcher, ServingStats,
+                           ShardedSweepExecutor)
 
 SPEEDUP_TARGET = 3.0
 P99_LIMIT_S = 0.5
@@ -72,6 +83,8 @@ OBS_OVERHEAD_LIMIT = 0.03
 #: per-shard dispatch...) — deliberately generous.
 FAULT_HOOKS_PER_REQUEST = 8
 FAULT_OVERHEAD_LIMIT = 0.01
+#: 2-worker sweep pool over the in-process engine, full run (smoke: > 1).
+SWEEP_POOL_TARGET = 1.3
 
 
 def _drive_clients(n_clients: int, requests_per_client: int, inputs,
@@ -413,6 +426,61 @@ def run_fault_overhead(iterations: int = 200_000, engine_reps: int = 300,
             "fault_overhead_ok": overhead <= FAULT_OVERHEAD_LIMIT}
 
 
+def run_sweep_pool(rows: int = 8192, call_rows: int = 1024,
+                   workers: int = 2, rounds: int = 5,
+                   ratio_target: float = SWEEP_POOL_TARGET,
+                   seed: int = 0) -> dict:
+    """A ``workers``-process sweep pool against the in-process engine.
+
+    ``/sweep`` hands its engine one chunk per call, so both sides run the
+    same ``rows`` in ``call_rows``-row calls of a ``small``-scale v2, warm
+    (lazy allocations done, pool started and model loaded).  Each round
+    times one pass per side back to back, so drift lands on both; the
+    ratio is the median of the per-round ratios.
+    """
+    problem = DSEProblem()
+    rng = np.random.default_rng(seed)
+    model = AirchitectV2(get_scale("small").model_config(), problem, rng)
+    inputs = problem.sample_inputs(rows, rng)
+    calls = [inputs[lo:lo + call_rows] for lo in range(0, rows, call_rows)]
+    engine = BatchedDSEPredictor(model)
+
+    def run(predict_indices):
+        begin = time.perf_counter()
+        out = [predict_indices(chunk) for chunk in calls]
+        elapsed = time.perf_counter() - begin
+        return (elapsed, np.concatenate([pe for pe, _ in out]),
+                np.concatenate([l2 for _, l2 in out]))
+
+    single_s, pooled_s = [], []
+    identical = True
+    with ShardedSweepExecutor(model, num_workers=workers) as ex:
+        run(engine.predict_indices)                 # warm-up
+        run(ex.predict_indices)                     # starts the pool
+        worker_threads = ex._pool.apply(blas.num_threads) \
+            if ex._pool is not None else None
+        for _ in range(rounds):
+            s_elapsed, s_pe, s_l2 = run(engine.predict_indices)
+            p_elapsed, p_pe, p_l2 = run(ex.predict_indices)
+            identical = identical and bool(np.array_equal(p_pe, s_pe)
+                                           and np.array_equal(p_l2, s_l2))
+            single_s.append(s_elapsed)
+            pooled_s.append(p_elapsed)
+    ratios = [s / max(p, 1e-12) for s, p in zip(single_s, pooled_s)]
+    ratio = float(np.median(ratios))
+    return {"rows": rows, "call_rows": call_rows, "workers": workers,
+            "rounds": rounds, "scale": "small",
+            "single_rows_per_sec": rows / float(np.median(single_s)),
+            "pooled_rows_per_sec": rows / float(np.median(pooled_s)),
+            "ratio": ratio,
+            "ratio_range": [min(ratios), max(ratios)],
+            "ratio_target": ratio_target,
+            "ratio_ok": ratio > ratio_target,
+            "parent_blas_threads": blas.num_threads(),
+            "worker_blas_threads": worker_threads,
+            "identical_predictions": identical}
+
+
 def run_smoke() -> dict:
     """Seconds-long CI configuration: asserts direction, not magnitude."""
     result = run_bench(clients=8, requests_per_client=12)
@@ -425,6 +493,7 @@ def run_smoke() -> dict:
                                                requests_per_client=12,
                                                rounds=2)
     result["faults"] = run_fault_overhead(iterations=50_000, engine_reps=100)
+    result["sweep_pool"] = run_sweep_pool(rounds=3, ratio_target=1.0)
     return result
 
 
@@ -471,6 +540,15 @@ def test_disarmed_fault_hooks_within_gate():
     assert result["fault_overhead_ok"]
 
 
+@pytest.mark.slow
+def test_sweep_pool_beats_in_process():
+    """2 one-BLAS-thread workers beat one process, identical predictions."""
+    result = run_sweep_pool()
+    print(json.dumps(result, indent=2))
+    assert result["identical_predictions"]
+    assert result["ratio_ok"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=16)
@@ -486,8 +564,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-long CI mode: the batcher must beat "
                              "the per-request loop, sustained p99 stays "
-                             "under a lenient bound, and saturation must "
-                             "answer 429 + Retry-After")
+                             "under a lenient bound, saturation must "
+                             "answer 429 + Retry-After, and the sweep pool "
+                             "must beat the in-process engine")
     parser.add_argument("--output", default=None,
                         help="also write the JSON record to this path "
                              "(e.g. BENCH_serving.json)")
@@ -513,6 +592,8 @@ def main(argv: list[str] | None = None) -> int:
             max_batch_size=args.max_batch_size,
             max_wait_ms=args.max_wait_ms, seed=args.seed)
         result["faults"] = run_fault_overhead(seed=args.seed)
+        result["sweep_pool"] = run_sweep_pool(seed=args.seed)
+    result["host"] = host_stamp()
     text = json.dumps(result, indent=2)
     print(text)
     if args.output:
@@ -557,6 +638,16 @@ def main(argv: list[str] | None = None) -> int:
               f"{fault['fault_overhead'] * 100:.3f}% of an engine pass, "
               f"over the {fault['fault_overhead_limit'] * 100:.0f}% gate",
               file=sys.stderr)
+        failed = True
+    pool = result["sweep_pool"]
+    if not pool["identical_predictions"]:
+        print("FAIL: sweep-pool predictions diverge from the in-process "
+              "engine", file=sys.stderr)
+        failed = True
+    if not pool["ratio_ok"]:
+        print(f"FAIL: {pool['workers']}-worker sweep pool "
+              f"{pool['ratio']:.2f}x the in-process engine, not above "
+              f"{pool['ratio_target']:.1f}x", file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

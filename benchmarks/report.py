@@ -35,14 +35,25 @@ def _gate(ok: bool) -> str:
     return "pass" if ok else "**FAIL**"
 
 
+#: ``bench_dataset_gen.py`` holds the speedup to its target only on this
+#: many workers or more; identical labels are required at any count.
+DATASET_GEN_GATED_WORKERS = 4
+
+
 def _rows_dataset_gen(doc: dict) -> list[tuple[str, str, str, str]]:
+    if not doc["identical_labels"]:
+        status = _gate(False)
+    elif doc["workers"] >= DATASET_GEN_GATED_WORKERS:
+        status = _gate(doc["speedup"] >= doc["speedup_target"])
+    else:
+        status = f"not gated (< {DATASET_GEN_GATED_WORKERS} workers)"
     return [(
         "dataset_gen",
         f"{_fmt(doc['speedup'])}x label speedup "
         f"({doc['workers']} workers, {doc['samples']} samples)",
-        f">= {_fmt(doc['speedup_target'], 1)}x, identical labels",
-        _gate(doc["speedup"] >= doc["speedup_target"]
-              and doc["identical_labels"]),
+        f">= {_fmt(doc['speedup_target'], 1)}x on >= "
+        f"{DATASET_GEN_GATED_WORKERS} workers, identical labels",
+        status,
     )]
 
 
@@ -111,6 +122,18 @@ def _rows_serving(doc: dict) -> list[tuple[str, str, str, str]]:
             f"{obs['spans_recorded']} spans)",
             f"<= {obs['overhead_limit'] * 100:.0f}%, spans recorded",
             _gate(obs["overhead_ok"] and obs["spans_recorded"] > 0),
+        ))
+    pool = doc.get("sweep_pool")
+    if pool:
+        rows.append((
+            "serving/sweep_pool",
+            f"{_fmt(pool['ratio'])}x {pool['workers']}-worker pool "
+            f"({_fmt(pool['pooled_rows_per_sec'], 0)} vs "
+            f"{_fmt(pool['single_rows_per_sec'], 0)} rows/s in-process, "
+            f"{pool['call_rows']}-row calls, "
+            f"{pool['worker_blas_threads']} BLAS thread/worker)",
+            f"> {_fmt(pool['ratio_target'], 1)}x, identical predictions",
+            _gate(pool["ratio_ok"] and pool["identical_predictions"]),
         ))
     return rows
 

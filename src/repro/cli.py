@@ -492,9 +492,9 @@ def serve_main(argv: list[str] | None = None) -> int:
                         help="cap on resident registry models; the least-"
                              "recently-served is evicted beyond this")
     parser.add_argument("--sweep-workers", type=int, default=None,
-                        help="run /sweep chunks through an autoscaled "
-                             "sharded executor with up to this many worker "
-                             "processes (default: in-process)")
+                        help="run /sweep chunks on this many worker "
+                             "processes of one BLAS thread each "
+                             "(default: in-process)")
     parser.add_argument("--max-queue", type=int, default=None,
                         help="bounded per-route admission queue: above this "
                              "many in-flight requests a route answers HTTP "

@@ -2,9 +2,10 @@
 
 Labelling is the dominant cost of building the paper's 100K-sample dataset
 (§IV): every sample needs a full 64 x 12 design-grid evaluation.  The grid
-solve is pure single-threaded numpy, so — exactly like the serving-side
-:class:`repro.serving.ShardedSweepExecutor` this mirrors — it scales with
-*processes*:
+solve is elementwise numpy that never calls BLAS, so it runs on one
+thread and scales with *processes* — like the serving-side
+:class:`repro.serving.ShardedSweepExecutor`, whose workers have to pin
+their BLAS to one thread to get there (this pool needs no such pin):
 
 * each pool worker builds one :class:`ExhaustiveOracle` clone (same
   problem, cost model and tolerance) in its initializer;

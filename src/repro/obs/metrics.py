@@ -8,7 +8,7 @@ values.  Three primitive types cover the repo's telemetry:
 * :class:`Counter` — monotonically non-decreasing sums (requests,
   batches, errors, accumulated seconds);
 * :class:`Gauge` — instantaneous values that go both ways (in-flight
-  requests, last autoscale plan), optionally computed lazily at scrape
+  requests, circuit-breaker state), optionally computed lazily at scrape
   time via :meth:`Gauge.set_function`;
 * :class:`Histogram` — bucketed distributions backed by
   :class:`LatencyHistogram` (64 geometric buckets + overflow, O(1)

@@ -7,10 +7,8 @@ into a serving stack:
   single-workload requests into engine micro-batches (size-or-deadline
   flush policy, per-request futures);
 * :class:`ShardedSweepExecutor` — split huge sweeps across worker
-  processes and reassemble the shards in order; with
-  :class:`AutoscalePolicy`, worker count and shard size adapt to sweep
-  size and observed per-worker throughput (decision-traced, results
-  bit-identical to the fixed-shard path);
+  processes of one BLAS thread each and reassemble the shards in order
+  (results bit-identical to the in-process engine);
 * :class:`PersistentOracleCache` — snapshot/restore the oracle's label
   cache across runs, fingerprint-guarded against stale labels;
 * :class:`DSEServer` — a stdlib threaded HTTP front-end hosting a
@@ -29,12 +27,12 @@ from .batcher import DynamicBatcher, RequestQueue, ServedPrediction
 from .cache import (CorruptCacheWarning, PersistentOracleCache,
                     StaleCacheWarning)
 from .server import DSEServer, ModelRoute
-from .sharded import AutoscaleDecision, AutoscalePolicy, ShardedSweepExecutor
+from .sharded import ShardedSweepExecutor
 from .stats import LatencyHistogram, ServingStats
 
 __all__ = [
     "DynamicBatcher", "RequestQueue", "ServedPrediction",
-    "ShardedSweepExecutor", "AutoscalePolicy", "AutoscaleDecision",
+    "ShardedSweepExecutor",
     "PersistentOracleCache", "StaleCacheWarning", "CorruptCacheWarning",
     "DSEServer", "ModelRoute",
     "ServingStats", "LatencyHistogram",

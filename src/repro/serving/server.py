@@ -41,8 +41,8 @@ Endpoints
     million-point sweep starts flowing after the first chunk instead of
     after the last.  A mid-stream failure appends an ``{"error": ...}``
     line and closes the connection.  With ``--sweep-workers``, chunks run
-    through an autoscaled :class:`~repro.serving.ShardedSweepExecutor`
-    whose decision trace ``GET /stats`` exposes.
+    through a :class:`~repro.serving.ShardedSweepExecutor` whose workers
+    each run one BLAS thread; predictions are identical either way.
 ``GET /models``
     The registry/route listing: every active route and every discoverable
     registry artifact, with manifest summaries and load state.
@@ -50,13 +50,13 @@ Endpoints
     ``{"status": "ok", "uptime_s": ...}`` — liveness probe.
 ``GET /stats``
     Aggregate serving counters plus a per-model breakdown (requests,
-    batches, queue waits, forward passes, sweep/chunk counts, autoscale
-    decision traces, oracle cache hit rate).
+    batches, queue waits, forward passes, sweep/chunk counts, oracle
+    cache hit rate).
 ``GET /metrics``
     The same numbers in the Prometheus text exposition format, rendered
     from the server's :class:`~repro.obs.MetricsRegistry` — every
-    route's :class:`ServingStats` series (labelled by model), autoscale
-    gauges, uptime and in-flight gauges.
+    route's :class:`ServingStats` series (labelled by model), the sweep
+    pool's recovery counters, uptime and in-flight gauges.
 
 Requests are traced end to end: each ``/predict`` or ``/sweep`` gets a
 front-end span (honouring an ``X-Trace-Id`` request header, minting an
@@ -201,7 +201,7 @@ class ModelRoute:
     Routes are the unit of multi-model serving: each has its own request
     queue (so one model's burst never stalls another's latency), its own
     :class:`ServingStats`, and — when the server runs with sweep
-    workers — its own lazily-created autoscaled sweep executor.
+    workers — its own lazily-created sharded sweep executor.
     """
 
     def __init__(self, name: str, model: AirchitectV2, *,
@@ -256,16 +256,16 @@ class ModelRoute:
 
     # ------------------------------------------------------------------
     def sweep_engine(self):
-        """What ``/sweep`` chunks run on: the autoscaled sharded executor
-        when the server was configured with sweep workers, the in-process
-        engine otherwise.  Bit-identical predictions either way."""
+        """What ``/sweep`` chunks run on: the sharded executor when the
+        server was configured with sweep workers, the in-process engine
+        otherwise.  Bit-identical predictions either way."""
         if self.sweep_workers is None or self.sweep_workers <= 1:
             return self.engine
         with self._executor_lock:
             if self._executor is None:
                 self._executor = ShardedSweepExecutor(
                     self.model, num_workers=self.sweep_workers,
-                    autoscale=True, shard_timeout_s=self.shard_timeout_s,
+                    shard_timeout_s=self.shard_timeout_s,
                     registry=self.registry,
                     labels={"model": self.name})
             return self._executor
@@ -326,8 +326,6 @@ class ModelRoute:
         if self.breaker is not None:
             doc["breaker"] = {"state": self.breaker.state,
                               "opens": self.breaker.opens}
-        if self._executor is not None:
-            doc["autoscale"] = list(self._executor.decision_trace)
         return doc
 
 
@@ -574,9 +572,8 @@ class DSEServer:
         least-recently-served one is stopped and evicted beyond this.
         Directly-attached models are never evicted.
     sweep_workers:
-        Give each route an autoscaled :class:`ShardedSweepExecutor` with
-        this many max workers for ``POST /sweep`` chunks (default: sweep
-        in-process).
+        Give each route a :class:`ShardedSweepExecutor` with this many
+        workers for ``POST /sweep`` chunks (default: sweep in-process).
     max_queue:
         Bounded per-route admission queue: above this many in-flight
         requests (queued or being served) a route answers HTTP 429 with

@@ -522,6 +522,30 @@ class TestSweepStreaming:
         assert status == 404
         assert "ghost" in doc["error"]
 
+    def test_sweep_workers_stream_identical_lines(self, serve_model):
+        """``repro serve --sweep-workers``: the same with-cost sweep in
+        1,024-row chunks (the last one partial) streams the same
+        prediction lines from a 2-worker pool as from the in-process
+        engine."""
+        body = {"random": 3000, "seed": 9, "chunk_size": 1024,
+                "with_cost": True}
+        streams = {}
+        for workers in (None, 2):
+            with DSEServer(serve_model, port=0, sweep_workers=workers,
+                           max_batch_size=16, max_wait_ms=2) as srv:
+                with self._post_sweep(srv, body) as resp:
+                    lines = [json.loads(line)
+                             for line in resp.read().splitlines()]
+                _, stats = _get(srv, "/stats")
+                executor = srv._route(None).executor
+                if workers:
+                    assert executor is not None and executor._pool is not None
+            assert "autoscale" not in stats["models"]["default"]
+            streams[workers] = lines
+        pooled, single = streams[2], streams[None]
+        assert [c["count"] for c in pooled[1:-1]] == [1024, 1024, 952]
+        assert pooled[1:-1] == single[1:-1]
+
 
 class _WriteLog:
     """A handler's ``wfile`` that records every write it passes on."""

@@ -11,9 +11,11 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro import blas
 from repro.core import BatchedDSEPredictor
+from repro.dse import ExhaustiveOracle
 from repro.faults import RetryPolicy
-from repro.serving import AutoscalePolicy, ShardedSweepExecutor
+from repro.serving import ShardedSweepExecutor
 from repro.serving import sharded as sharded_mod
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -49,27 +51,23 @@ class TestParity:
                                                       problem):
         """The acceptance gate: 10k workloads, bit-identical shards."""
         inputs = problem.sample_inputs(10_000, np.random.default_rng(7))
-        single = BatchedDSEPredictor(serve_model).sweep(inputs)
+        single = BatchedDSEPredictor(serve_model).predict_indices(inputs)
         with ShardedSweepExecutor(serve_model, num_workers=3,
                                   min_shard_size=64) as ex:
-            sharded = ex.sweep(inputs)
-        np.testing.assert_array_equal(sharded.pe_idx, single.pe_idx)
-        np.testing.assert_array_equal(sharded.l2_idx, single.l2_idx)
-        np.testing.assert_array_equal(sharded.num_pes, single.num_pes)
-        np.testing.assert_array_equal(sharded.l2_kb, single.l2_kb)
+            sharded = ex.predict_indices(inputs)
+        np.testing.assert_array_equal(sharded[0], single[0])
+        np.testing.assert_array_equal(sharded[1], single[1])
 
-    def test_with_cost_matches_and_reuses_parent_oracle(self, serve_model,
-                                                        problem, rng):
+    def test_with_cost_matches_single_process(self, serve_model, problem,
+                                              rng):
         inputs = problem.sample_inputs(300, rng)
         single = BatchedDSEPredictor(serve_model).sweep(inputs,
                                                         with_cost=True)
         with ShardedSweepExecutor(serve_model, num_workers=2,
                                   min_shard_size=32) as ex:
-            sharded = ex.sweep(inputs, with_cost=True)
-            np.testing.assert_allclose(sharded.predicted_cost,
-                                       single.predicted_cost, rtol=1e-12)
-            # The cost pass runs in the parent so its oracle accumulates.
-            assert ex._default_oracle is not None
+            pe_idx, l2_idx = ex.predict_indices(inputs)
+        cost = ExhaustiveOracle(problem).cost_at(inputs, pe_idx, l2_idx)
+        np.testing.assert_array_equal(cost, single.predicted_cost)
 
     def test_pool_is_reused_across_sweeps(self, serve_model, problem, rng):
         with ShardedSweepExecutor(serve_model, num_workers=2,
@@ -88,120 +86,22 @@ class TestParity:
         np.testing.assert_array_equal(pe, reference[0])
         np.testing.assert_array_equal(l2, reference[1])
 
-    def test_timing_fields_populated(self, serve_model, problem, rng):
-        with ShardedSweepExecutor(serve_model, num_workers=2,
-                                  min_shard_size=32) as ex:
-            result = ex.sweep(problem.sample_inputs(200, rng),
-                              with_cost=True)
-        assert result.elapsed_s >= result.predict_elapsed_s > 0
-        assert result.samples_per_sec > 0
-
-
-class TestAutoscalePolicy:
-    """The policy is a pure function of (sweep size, observations)."""
-
-    def test_tiny_sweeps_stay_single_process(self):
-        policy = AutoscalePolicy(max_workers=8, min_shard_size=256)
-        decision = policy.decide(100)
-        assert decision.workers == 1
-        assert "below" in decision.reason
-
-    def test_worker_count_scales_with_sweep_size(self):
-        policy = AutoscalePolicy(max_workers=8, min_shard_size=256)
-        assert policy.decide(600).workers == 2
-        assert policy.decide(1100).workers == 4
-        assert policy.decide(100_000).workers == 8     # capped at the ceiling
-
-    def test_shard_size_oversharding_and_floor(self):
-        policy = AutoscalePolicy(max_workers=4, min_shard_size=100,
-                                 shards_per_worker=2)
-        decision = policy.decide(8000)
-        assert decision.workers == 4
-        assert decision.shard_size == 1000             # 8000 / (4 * 2)
-        # The floor wins when oversharding would under-fill shards
-        # (700 rows / 8 planned shards = 88-row shards, below the floor).
-        assert policy.decide(700).shard_size == 100
-
-    def test_fast_observed_throughput_keeps_sweeps_single_process(self):
-        policy = AutoscalePolicy(max_workers=8, min_shard_size=64,
-                                 min_pool_gain_s=0.05)
-        assert policy.decide(1000).workers > 1
-        policy.observe_single(rows=100_000, elapsed_s=0.1)  # 1M rows/s
-        decision = policy.decide(1000)                      # ETA 1ms
-        assert decision.workers == 1
-        assert "ETA" in decision.reason
-        # Big enough sweeps still pool despite the fast single rate.
-        assert policy.decide(1_000_000).workers == 8
-
-    def test_observations_blend_with_ewma(self):
-        policy = AutoscalePolicy(max_workers=4, ewma=0.5)
-        policy.observe_pooled(rows=1000, workers=2, elapsed_s=1.0)  # 500/w/s
-        policy.observe_pooled(rows=3000, workers=2, elapsed_s=1.0)  # 1500/w/s
-        assert policy.pooled_rows_per_worker_s == pytest.approx(1000.0)
-
-    def test_pooled_throughput_feeds_the_plan(self):
-        """Observed per-worker rate is part of the decision, not just the
-        reason string: a pool observed to be slower than single-process
-        (IPC-bound shards) keeps subsequent sweeps in-process."""
-        policy = AutoscalePolicy(max_workers=4, min_shard_size=64,
-                                 min_pool_gain_s=0.05)
-        policy.observe_single(rows=10_000, elapsed_s=1.0)    # 10k rows/s
-        policy.observe_pooled(rows=1000, workers=4, elapsed_s=1.0)  # 250/w/s
-        decision = policy.decide(2000)
-        assert decision.workers == 1
-        assert "beats" in decision.reason
-        # A pool observed to actually help keeps pooling.
-        fast = AutoscalePolicy(max_workers=4, min_shard_size=64,
-                               min_pool_gain_s=0.05)
-        fast.observe_single(rows=10_000, elapsed_s=1.0)
-        fast.observe_pooled(rows=40_000, workers=4, elapsed_s=1.0)
-        assert fast.decide(100_000).workers == 4
-
-
-class TestAutoscaledExecutor:
-    def test_autoscaled_results_bit_identical_to_fixed_shards(
-            self, serve_model, problem):
-        """The acceptance gate: the plan changes, the bits do not."""
-        inputs = problem.sample_inputs(3000, np.random.default_rng(17))
-        with ShardedSweepExecutor(serve_model, num_workers=3,
-                                  min_shard_size=64) as fixed:
-            ref_pe, ref_l2 = fixed.predict_indices(inputs)
-        with ShardedSweepExecutor(serve_model, num_workers=3,
-                                  min_shard_size=64, autoscale=True) as ex:
-            pe, l2 = ex.predict_indices(inputs)
-            again_pe, again_l2 = ex.predict_indices(inputs)  # warmed policy
-        np.testing.assert_array_equal(pe, ref_pe)
-        np.testing.assert_array_equal(l2, ref_l2)
-        np.testing.assert_array_equal(again_pe, ref_pe)
-        np.testing.assert_array_equal(again_l2, ref_l2)
-
-    def test_decision_trace_records_every_sweep(self, serve_model, problem,
-                                                rng):
-        # min_pool_gain_s=0 disables the ETA shortcut so the 600-row sweep
-        # demonstrably pools even on a fast machine.
-        policy = AutoscalePolicy(max_workers=2, min_shard_size=64,
-                                 min_pool_gain_s=0.0)
-        with ShardedSweepExecutor(serve_model, num_workers=2,
-                                  min_shard_size=64, policy=policy) as ex:
-            ex.predict_indices(problem.sample_inputs(40, rng))     # single
-            ex.predict_indices(problem.sample_inputs(600, rng))    # pooled
-            trace = list(ex.decision_trace)
-        assert len(trace) == 2
-        small, big = trace
-        assert small["sweep_size"] == 40 and not small["pooled"]
-        assert small["workers"] == 1
-        assert big["sweep_size"] == 600 and big["pooled"]
-        assert big["workers"] == 2 and big["num_shards"] >= 2
-        for record in trace:
-            assert record["elapsed_s"] > 0 and record["rows_per_sec"] > 0
-            assert "reason" in record
-
-    def test_single_process_observations_feed_the_policy(self, serve_model,
-                                                         problem, rng):
-        with ShardedSweepExecutor(serve_model, num_workers=2,
-                                  autoscale=True) as ex:
-            ex.predict_indices(problem.sample_inputs(50, rng))
-            assert ex.policy.single_rows_per_s is not None
+    @pytest.mark.skipif(blas.num_threads() is None,
+                        reason="numpy is not linked against OpenBLAS")
+    def test_workers_run_one_blas_thread(self, serve_model, problem, rng):
+        """Forked workers would inherit the parent's BLAS thread pool; the
+        count is read inside a pool worker, with the parent on two."""
+        before = blas.num_threads()
+        blas.set_num_threads(2)
+        try:
+            with ShardedSweepExecutor(serve_model, num_workers=2,
+                                      min_shard_size=32) as ex:
+                ex.predict_indices(problem.sample_inputs(200, rng))
+                worker_threads = ex._pool.apply(blas.num_threads)
+            assert blas.num_threads() == 2      # the parent is untouched
+        finally:
+            blas.set_num_threads(before)
+        assert worker_threads == 1
 
 
 class TestFailurePaths:
